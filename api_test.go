@@ -21,7 +21,6 @@ import (
 var publicSurface = []string{
 	"Accumulators",
 	"Analyze",
-	"CampaignStats",
 	"Config",
 	"DefaultConfig",
 	"Event",
@@ -39,17 +38,13 @@ var publicSurface = []string{
 	"ParseSweepAxes",
 	"ReportOptions",
 	"RunPaperStudy",
-	"RunStudy",
 	"Session",
 	"Simulate",
 	"Source",
 	"SourceStats",
 	"Store",
 	"StoreHealth",
-	"StreamCampaign",
-	"StreamHandler",
 	"Study",
-	"StudyFromLogs",
 	"Sweep",
 	"SweepAxis",
 	"SweepOption",
@@ -136,7 +131,10 @@ func TestPublicAPI(t *testing.T) {
 	if cfg == nil || cfg.Profile == nil {
 		t.Fatal("default config incomplete")
 	}
-	s := unprotected.RunStudy(cfg)
+	s, err := unprotected.Analyze(context.Background(), unprotected.Simulate(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if s.Dataset == nil || len(s.Dataset.Faults) == 0 {
 		t.Fatal("study produced no dataset")
 	}
@@ -147,18 +145,14 @@ func TestPublicAPI(t *testing.T) {
 	}
 }
 
-// TestPublicAnalyze drives the new unified entry point end to end through
-// the public surface: simulation source, log source, custom observers and
-// the raw iterator — all against the deprecated doors they replace.
+// TestPublicAnalyze drives the unified entry point end to end through
+// the public surface: simulation source, custom observers, a log-source
+// round trip and the raw iterator with its stats prologue.
 func TestPublicAnalyze(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign")
 	}
 	ctx := context.Background()
-	legacy := unprotected.RunStudy(unprotected.DefaultConfig(6))
-	var want bytes.Buffer
-	legacy.FullReport(&want, unprotected.ReportOptions{Charts: true})
-
 	var observed int
 	counter := unprotected.FuncObserver{Fault: func(unprotected.Fault) { observed++ }}
 	study, err := unprotected.Analyze(ctx, unprotected.Simulate(unprotected.DefaultConfig(6)),
@@ -166,16 +160,11 @@ func TestPublicAnalyze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got bytes.Buffer
-	study.FullReport(&got, unprotected.ReportOptions{Charts: true})
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatal("Analyze(Simulate) report diverges from RunStudy")
-	}
-	if observed != len(study.Dataset.Faults) {
+	if observed == 0 || observed != len(study.Dataset.Faults) {
 		t.Fatalf("observer saw %d faults, dataset holds %d", observed, len(study.Dataset.Faults))
 	}
 
-	// Round-trip through the log source.
+	// Round-trip through the log source: the fault-derived figures survive.
 	dir := t.TempDir()
 	if err := logstore.Export(study.Dataset.Sessions, study.Dataset.Faults, dir); err != nil {
 		t.Fatal(err)
@@ -184,38 +173,33 @@ func TestPublicAnalyze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrapper, err := unprotected.StudyFromLogs(dir, "02-04", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, b bytes.Buffer
-	fromLogs.FullReport(&a, unprotected.ReportOptions{Charts: true})
-	wrapper.FullReport(&b, unprotected.ReportOptions{Charts: true})
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("Analyze(Logs) report diverges from StudyFromLogs")
+	if len(fromLogs.Dataset.Faults) != len(study.Dataset.Faults) ||
+		*fromLogs.HourOfDayFigure() != *study.HourOfDayFigure() {
+		t.Fatal("Analyze(Logs) of the exported study diverges from the simulated study")
 	}
 
-	// The raw iterator delivers the stream the deprecated callbacks did.
+	// The raw iterator delivers exactly what its prologue announces, and
+	// exactly the dataset Analyze collected.
+	var stats unprotected.SourceStats
 	var faults, sessions int
-	cb := unprotected.StreamCampaign(unprotected.DefaultConfig(6), unprotected.StreamHandler{
-		Fault:   func(unprotected.Fault) { faults++ },
-		Session: func(unprotected.Session) { sessions++ },
-	})
-	var itFaults, itSessions int
 	for ev, err := range unprotected.Simulate(unprotected.DefaultConfig(6)).Events(ctx) {
 		if err != nil {
 			t.Fatal(err)
 		}
 		switch ev.Kind {
+		case unprotected.EventStats:
+			stats = *ev.Stats
 		case unprotected.EventFault:
-			itFaults++
+			faults++
 		case unprotected.EventSession:
-			itSessions++
+			sessions++
 		}
 	}
-	if itFaults != faults || itFaults != cb.Faults || itSessions != sessions || itSessions != cb.Sessions {
-		t.Fatalf("iterator delivered %d/%d, callbacks %d/%d (stats %d/%d)",
-			itFaults, itSessions, faults, sessions, cb.Faults, cb.Sessions)
+	if faults != stats.Faults || sessions != stats.Sessions ||
+		faults != len(study.Dataset.Faults) || sessions != len(study.Dataset.Sessions) {
+		t.Fatalf("iterator delivered %d/%d, prologue %d/%d, Analyze collected %d/%d",
+			faults, sessions, stats.Faults, stats.Sessions,
+			len(study.Dataset.Faults), len(study.Dataset.Sessions))
 	}
 }
 
@@ -273,12 +257,16 @@ func TestPublicStudyFromLogs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign")
 	}
-	s := unprotected.RunStudy(unprotected.DefaultConfig(3))
+	ctx := context.Background()
+	s, err := unprotected.Analyze(ctx, unprotected.Simulate(unprotected.DefaultConfig(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
 	if err := logstore.Export(s.Dataset.Sessions, s.Dataset.Faults, dir); err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := unprotected.StudyFromLogs(dir, "02-04", 0)
+	replayed, err := unprotected.Analyze(ctx, unprotected.Logs(dir, unprotected.WithController("02-04")))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,6 @@ import (
 	"os/signal"
 
 	"unprotected"
-	"unprotected/internal/analysis"
 	"unprotected/internal/campaign"
 	"unprotected/internal/dram"
 	"unprotected/internal/eventlog"
@@ -74,7 +73,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	h := analysis.ComputeHeadline(study.Dataset)
+	h := study.Headline()
 	fmt.Printf("campaign complete: %d raw logs, %d independent faults, %.0f node-hours, %.0f TBh\n",
 		h.RawLogs, h.IndependentFaults, float64(h.NodeHours), float64(h.TotalTBh))
 

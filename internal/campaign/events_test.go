@@ -3,77 +3,59 @@ package campaign
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
-	"unprotected/internal/eventlog"
-	"unprotected/internal/extract"
 	"unprotected/internal/stream"
 )
 
 // TestEventsMatchesStream: the iterator must deliver exactly the sequence
-// the callback API delivers — same stats prologue, same faults in the
-// same order, same sessions in the same order.
+// the collect-all reference engine produces — same stats prologue (first,
+// once), same faults in the same order, same sessions in the same order.
 func TestEventsMatchesStream(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign")
 	}
-	ref := DefaultConfig(6)
-	var wantFaults []extract.Fault
-	var wantSessions []eventlog.Session
-	wantStats := Stream(ref, StreamHandler{
-		Fault:   func(f extract.Fault) { wantFaults = append(wantFaults, f) },
-		Session: func(s eventlog.Session) { wantSessions = append(wantSessions, s) },
-	})
+	want := legacyCollectAll(DefaultConfig(6))
+	got := drainEvents(t, Events(context.Background(), DefaultConfig(6)))
+	assertSameResult(t, "Events vs collect-all", want, got)
+}
 
-	var gotFaults []extract.Fault
-	var gotSessions []eventlog.Session
-	var gotStats *stream.Stats
-	sawPrologueFirst := true
-	for ev, err := range Events(context.Background(), DefaultConfig(6)) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch ev.Kind {
-		case stream.KindStats:
-			if len(gotFaults) > 0 || len(gotSessions) > 0 || gotStats != nil {
-				sawPrologueFirst = false
+// TestEventsFiltered: each (needFaults, needSessions) combination must
+// announce the full campaign's prologue, deliver only the requested
+// halves, and deliver them exactly as the complete Events stream does.
+func TestEventsFiltered(t *testing.T) {
+	full := run(t, gateTestConfig(6))
+	if len(full.Faults) == 0 || len(full.Sessions) == 0 {
+		t.Fatal("reference campaign delivered nothing")
+	}
+	for _, tc := range []struct{ faults, sessions bool }{
+		{true, true}, {true, false}, {false, true}, {false, false},
+	} {
+		name := fmt.Sprintf("faults=%v/sessions=%v", tc.faults, tc.sessions)
+		t.Run(name, func(t *testing.T) {
+			got := drainEvents(t, EventsFiltered(context.Background(), gateTestConfig(6), tc.faults, tc.sessions))
+			if !reflect.DeepEqual(got.Stats, full.Stats) {
+				t.Fatalf("prologue %+v, want the full campaign's %+v", got.Stats, full.Stats)
 			}
-			gotStats = ev.Stats
-		case stream.KindFault:
-			if len(gotSessions) > 0 {
-				t.Fatal("fault delivered after a session")
+			wantFaults, wantSessions := full.Faults, full.Sessions
+			if !tc.faults {
+				wantFaults = nil
 			}
-			gotFaults = append(gotFaults, ev.Fault)
-		case stream.KindSession:
-			gotSessions = append(gotSessions, ev.Session)
-		default:
-			t.Fatalf("unknown event kind %d", ev.Kind)
-		}
-	}
-	if !sawPrologueFirst || gotStats == nil {
-		t.Fatal("stats prologue missing or not first")
-	}
-	if gotStats.Faults != wantStats.Faults || gotStats.Sessions != wantStats.Sessions ||
-		gotStats.RawLogs != wantStats.RawLogs || gotStats.AllocFails != wantStats.AllocFails {
-		t.Fatalf("stats differ: %+v vs %+v", gotStats, wantStats)
-	}
-	if len(gotFaults) != len(wantFaults) {
-		t.Fatalf("faults %d, want %d", len(gotFaults), len(wantFaults))
-	}
-	for i := range gotFaults {
-		if gotFaults[i] != wantFaults[i] {
-			t.Fatalf("fault %d differs", i)
-		}
-	}
-	if len(gotSessions) != len(wantSessions) {
-		t.Fatalf("sessions %d, want %d", len(gotSessions), len(wantSessions))
-	}
-	for i := range gotSessions {
-		if gotSessions[i] != wantSessions[i] {
-			t.Fatalf("session %d differs", i)
-		}
+			if !tc.sessions {
+				wantSessions = nil
+			}
+			if !slices.Equal(got.Faults, wantFaults) {
+				t.Fatalf("delivered %d faults, want %d identical to Events'", len(got.Faults), len(wantFaults))
+			}
+			if !slices.Equal(got.Sessions, wantSessions) {
+				t.Fatalf("delivered %d sessions, want %d identical to Events'", len(got.Sessions), len(wantSessions))
+			}
+		})
 	}
 }
 

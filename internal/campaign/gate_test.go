@@ -3,13 +3,11 @@ package campaign
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
 	"unprotected/internal/cluster"
-	"unprotected/internal/eventlog"
-	"unprotected/internal/extract"
-	"unprotected/internal/stream"
 )
 
 // gateTestConfig restricts the paper config to two blades so gated runs
@@ -24,52 +22,19 @@ func gateTestConfig(seed uint64) *Config {
 	return cfg
 }
 
-// collectAll drains a campaign into slices.
-func collectAll(t *testing.T, cfg *Config) ([]extract.Fault, []eventlog.Session) {
-	t.Helper()
-	var faults []extract.Fault
-	var sessions []eventlog.Session
-	for ev, err := range Events(context.Background(), cfg) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch ev.Kind {
-		case stream.KindFault:
-			faults = append(faults, ev.Fault)
-		case stream.KindSession:
-			sessions = append(sessions, ev.Session)
-		}
-	}
-	return faults, sessions
-}
-
 // TestSweepGateEquivalence: a shared gate only schedules — the merged
 // stream must be identical with no gate, a wide gate, and a serializing
 // gate of one token.
 func TestSweepGateEquivalence(t *testing.T) {
-	wantFaults, wantSessions := collectAll(t, gateTestConfig(11))
-	if len(wantFaults) == 0 || len(wantSessions) == 0 {
+	want := run(t, gateTestConfig(11))
+	if len(want.Faults) == 0 || len(want.Sessions) == 0 {
 		t.Fatal("ungated reference campaign produced no stream")
 	}
 	for _, tokens := range []int{1, 2, 16} {
 		cfg := gateTestConfig(11)
 		cfg.Gate = make(chan struct{}, tokens)
 		cfg.Workers = 4
-		faults, sessions := collectAll(t, cfg)
-		if len(faults) != len(wantFaults) || len(sessions) != len(wantSessions) {
-			t.Fatalf("gate cap %d: %d/%d deliveries, want %d/%d",
-				tokens, len(faults), len(sessions), len(wantFaults), len(wantSessions))
-		}
-		for i := range faults {
-			if faults[i] != wantFaults[i] {
-				t.Fatalf("gate cap %d: fault %d differs", tokens, i)
-			}
-		}
-		for i := range sessions {
-			if sessions[i] != wantSessions[i] {
-				t.Fatalf("gate cap %d: session %d differs", tokens, i)
-			}
-		}
+		assertSameResult(t, fmt.Sprintf("gate cap %d", tokens), want, run(t, cfg))
 	}
 }
 
@@ -83,7 +48,7 @@ func TestSweepGateTokensReleased(t *testing.T) {
 	first := gateTestConfig(3)
 	first.Gate = gate
 	first.Workers = 3
-	if faults, _ := collectAll(t, first); len(faults) == 0 {
+	if len(run(t, first).Faults) == 0 {
 		t.Fatal("first gated campaign produced no faults")
 	}
 
@@ -108,7 +73,7 @@ func TestSweepGateTokensReleased(t *testing.T) {
 	second := gateTestConfig(3)
 	second.Gate = gate
 	second.Workers = 3
-	if faults, _ := collectAll(t, second); len(faults) == 0 {
+	if len(run(t, second).Faults) == 0 {
 		t.Fatal("second gated campaign produced no faults (token leaked?)")
 	}
 	if len(gate) != 0 {

@@ -1,6 +1,8 @@
 package campaign
 
 import (
+	"context"
+	"iter"
 	"reflect"
 	"sort"
 	"testing"
@@ -8,20 +10,80 @@ import (
 	"unprotected/internal/cluster"
 	"unprotected/internal/eventlog"
 	"unprotected/internal/extract"
+	"unprotected/internal/stream"
 )
 
 // --- streaming campaign tests ---
 // (k-way merge unit tests live with the merge in internal/kway)
 
+// result is a drained campaign: the delivered faults and sessions in
+// delivery order plus the stream's stats prologue. The slices shadow the
+// prologue's Faults/Sessions counts; reach those as res.Stats.Faults.
+type result struct {
+	stream.Stats
+	Faults   []extract.Fault
+	Sessions []eventlog.Session
+}
+
+// drainEvents ranges over a stream to its end, failing the test on an
+// iterator error or a shape violation: the stats prologue must come first
+// and exactly once, and every fault must precede every session.
+func drainEvents(t testing.TB, seq iter.Seq2[stream.Event, error]) *result {
+	t.Helper()
+	var res result
+	sawStats := false
+	for ev, err := range seq {
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch ev.Kind {
+		case stream.KindStats:
+			if sawStats || len(res.Faults) > 0 || len(res.Sessions) > 0 {
+				t.Fatal("stats prologue repeated or not first")
+			}
+			sawStats = true
+			res.Stats = *ev.Stats
+		case stream.KindFault:
+			if !sawStats || len(res.Sessions) > 0 {
+				t.Fatal("fault delivered before the prologue or after a session")
+			}
+			res.Faults = append(res.Faults, ev.Fault)
+		case stream.KindSession:
+			if !sawStats {
+				t.Fatal("session delivered before the prologue")
+			}
+			res.Sessions = append(res.Sessions, ev.Session)
+		default:
+			t.Fatalf("unexpected event kind %d", ev.Kind)
+		}
+	}
+	if !sawStats {
+		t.Fatal("stream ended without a stats prologue")
+	}
+	return &res
+}
+
+// run drains the complete Events stream of cfg, whose prologue must count
+// exactly the deliveries that follow it.
+func run(t testing.TB, cfg *Config) *result {
+	t.Helper()
+	res := drainEvents(t, Events(context.Background(), cfg))
+	if res.Stats.Faults != len(res.Faults) || res.Stats.Sessions != len(res.Sessions) {
+		t.Fatalf("prologue counts (%d, %d) disagree with delivery (%d, %d)",
+			res.Stats.Faults, res.Stats.Sessions, len(res.Faults), len(res.Sessions))
+	}
+	return res
+}
+
 // legacyCollectAll is the pre-streaming engine: simulate every node
 // sequentially, buffer every run, classify once and globally sort. It is
 // the reference the streaming pipeline must reproduce byte for byte.
-func legacyCollectAll(cfg *Config) *Result {
+func legacyCollectAll(cfg *Config) *result {
 	if cfg.Topo == nil {
 		cfg.Topo = cluster.PaperTopology()
 	}
 	plans := cfg.Profile.build(cfg)
-	res := &Result{Cfg: cfg, RawLogsByNode: make(map[cluster.NodeID]int64)}
+	res := &result{Stats: stream.Stats{RawLogsByNode: make(map[cluster.NodeID]int64)}}
 	var allRuns []extract.RawRun
 	// One shared scratch across every node, like a single worker would
 	// use: the runs are copied out below before the next node overwrites
@@ -42,6 +104,7 @@ func legacyCollectAll(cfg *Config) *Result {
 	res.Faults = extract.Faults(allRuns)
 	extract.SortFaults(res.Faults)
 	sortSessionsLegacy(res.Sessions)
+	res.Stats.Faults, res.Stats.Sessions = len(res.Faults), len(res.Sessions)
 	return res
 }
 
@@ -51,8 +114,8 @@ func sortSessionsLegacy(ss []eventlog.Session) {
 	})
 }
 
-// assertSameResult compares every dataset field of two campaign results.
-func assertSameResult(t *testing.T, label string, a, b *Result) {
+// assertSameResult compares every dataset field of two drained campaigns.
+func assertSameResult(t *testing.T, label string, a, b *result) {
 	t.Helper()
 	if len(a.Faults) != len(b.Faults) {
 		t.Fatalf("%s: fault counts %d vs %d", label, len(a.Faults), len(b.Faults))
@@ -70,17 +133,14 @@ func assertSameResult(t *testing.T, label string, a, b *Result) {
 			t.Fatalf("%s: session %d differs", label, i)
 		}
 	}
-	if a.RawLogs != b.RawLogs {
-		t.Fatalf("%s: raw logs %d vs %d", label, a.RawLogs, b.RawLogs)
-	}
-	if !reflect.DeepEqual(a.RawLogsByNode, b.RawLogsByNode) {
-		t.Fatalf("%s: per-node raw logs differ", label)
-	}
-	if a.AllocFails != b.AllocFails {
-		t.Fatalf("%s: alloc fails %d vs %d", label, a.AllocFails, b.AllocFails)
+	if !reflect.DeepEqual(a.Stats, b.Stats) {
+		t.Fatalf("%s: stats differ: %+v vs %+v", label, a.Stats, b.Stats)
 	}
 }
 
+// TestStreamMatchesCollectAllAcrossWorkers: draining Events must
+// reproduce the pre-streaming engine's dataset and stats byte for byte,
+// for any worker count.
 func TestStreamMatchesCollectAllAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign")
@@ -88,11 +148,10 @@ func TestStreamMatchesCollectAllAcrossWorkers(t *testing.T) {
 	const seed = 21
 	legacy := legacyCollectAll(DefaultConfig(seed))
 
-	for _, workers := range []int{1, 8} {
+	for _, workers := range []int{0, 1, 8} {
 		cfg := DefaultConfig(seed)
 		cfg.Workers = workers
-		got := Run(cfg)
-		assertSameResult(t, "legacy vs streamed", legacy, got)
+		assertSameResult(t, "legacy vs streamed", legacy, run(t, cfg))
 	}
 }
 
@@ -102,68 +161,49 @@ func TestStreamEmitsCanonicalOrder(t *testing.T) {
 	}
 	cfg := DefaultConfig(9)
 	cfg.Workers = 8
-	var (
-		prevFault   *extract.Fault
-		prevSession *eventlog.Session
-		faults      int
-		sessions    int
-	)
-	st := Stream(cfg, StreamHandler{
-		Fault: func(f extract.Fault) {
-			if prevFault != nil && extract.Compare(prevFault, &f) >= 0 {
-				t.Fatalf("fault %d out of order: %+v then %+v", faults, *prevFault, f)
-			}
-			cp := f
-			prevFault = &cp
-			faults++
-		},
-		Session: func(s eventlog.Session) {
-			if prevSession != nil && eventlog.CompareSessions(prevSession, &s) >= 0 {
-				t.Fatalf("session %d out of order", sessions)
-			}
-			cp := s
-			prevSession = &cp
-			sessions++
-		},
-	})
-	if faults == 0 || sessions == 0 {
+	res := run(t, cfg)
+	if len(res.Faults) == 0 || len(res.Sessions) == 0 {
 		t.Fatal("stream delivered nothing")
 	}
-	if faults != st.Faults || sessions != st.Sessions {
-		t.Fatalf("stats (%d, %d) disagree with delivery (%d, %d)",
-			st.Faults, st.Sessions, faults, sessions)
+	for i := 1; i < len(res.Faults); i++ {
+		if extract.Compare(&res.Faults[i-1], &res.Faults[i]) >= 0 {
+			t.Fatalf("fault %d out of order: %+v then %+v", i, res.Faults[i-1], res.Faults[i])
+		}
 	}
-	if st.RawLogs == 0 || len(st.RawLogsByNode) == 0 || st.AllocFails == 0 {
-		t.Fatalf("implausible stats: %+v", st)
+	for i := 1; i < len(res.Sessions); i++ {
+		if eventlog.CompareSessions(&res.Sessions[i-1], &res.Sessions[i]) >= 0 {
+			t.Fatalf("session %d out of order", i)
+		}
+	}
+	if res.RawLogs == 0 || len(res.RawLogsByNode) == 0 || res.AllocFails == 0 {
+		t.Fatalf("implausible stats: %+v", res.Stats)
 	}
 }
 
+// TestStreamBeginPrecedesDelivery: the stats prologue arrives before the
+// first delivery, in time for a collecting consumer to preallocate from
+// its exact counts.
 func TestStreamBeginPrecedesDelivery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign")
 	}
-	var announced *Stats
+	var announced *stream.Stats
 	delivered := 0
-	Stream(DefaultConfig(4), StreamHandler{
-		Begin: func(st *Stats) {
+	for ev, err := range Events(context.Background(), DefaultConfig(4)) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch ev.Kind {
+		case stream.KindStats:
 			if delivered != 0 {
-				t.Fatal("Begin after first delivery")
+				t.Fatal("stats prologue after first delivery")
 			}
-			announced = st
-		},
-		Fault: func(extract.Fault) { delivered++ },
-	})
+			announced = ev.Stats
+		case stream.KindFault:
+			delivered++
+		}
+	}
 	if announced == nil || announced.Faults != delivered {
-		t.Fatalf("Begin announced %v, delivered %d", announced, delivered)
-	}
-}
-
-func TestStreamNilCallbacks(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full campaign")
-	}
-	st := Stream(DefaultConfig(4), StreamHandler{})
-	if st.Faults == 0 || st.Sessions == 0 || st.RawLogs == 0 {
-		t.Fatalf("stats empty with nil callbacks: %+v", st)
+		t.Fatalf("prologue announced %v, delivered %d", announced, delivered)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"iter"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -18,87 +19,88 @@ import (
 	"unprotected/internal/stream"
 )
 
-// TestAnalyzeLogsMatchesStudyFromLogs: the acceptance criterion — the new
-// entry point over a log source must render a report byte-identical to
-// the deprecated wrapper's, for explicit and default worker counts.
+// TestAnalyzeLogsMatchesStudyFromLogs: Analyze over a log source must
+// render the report the naive collect-and-sort oracle builds from the
+// same directory, for explicit and default worker counts and whether the
+// options are given to Analyze or to the source itself.
 func TestAnalyzeLogsMatchesStudyFromLogs(t *testing.T) {
 	sessions, faults, controller := replayFixture()
 	dir := t.TempDir()
 	if err := logstore.Export(sessions, faults, dir); err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := StudyFromLogs(dir, controller, 3)
+	controllerID, err := cluster.ParseNodeID(controller)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want bytes.Buffer
-	legacy.FullReport(&want, ReportOptions{Charts: true, Heatmaps: true})
+	want := naiveStudy(t, Logs(dir), controllerID, cluster.NodeID{}, cluster.PaperTopology())
 
-	for _, opts := range [][]Option{
-		{WithController(controller), WithWorkers(3)},
-		{WithController(controller)},
+	for _, tc := range []struct {
+		src  stream.Source
+		opts []Option
+	}{
+		{Logs(dir), []Option{WithController(controller), WithWorkers(3)}},
+		{Logs(dir), []Option{WithController(controller)}},
+		{Logs(dir, WithController(controller), WithWorkers(2)), nil},
 	} {
-		study, err := Analyze(context.Background(), Logs(dir), opts...)
+		study, err := Analyze(context.Background(), tc.src, tc.opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got bytes.Buffer
-		study.FullReport(&got, ReportOptions{Charts: true, Heatmaps: true})
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("Analyze(Logs) report diverges from StudyFromLogs (opts %d)", len(opts))
-		}
-	}
-
-	// Options on the source itself are the same API.
-	study, err := Analyze(context.Background(), Logs(dir, WithController(controller), WithWorkers(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	study.FullReport(&got, ReportOptions{Charts: true, Heatmaps: true})
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatal("Analyze(Logs(WithController)) report diverges from StudyFromLogs")
+		assertSameStudy(t, want, study)
 	}
 }
 
-// TestAnalyzeSimulateMatchesRunStudy: same criterion for the simulation
-// source, including the campaign-result view the Study carries.
-func TestAnalyzeSimulateMatchesRunStudy(t *testing.T) {
+// seed42Golden is the complete seed-42 report (FullReport with charts
+// and heatmaps of DefaultConfig(42)), the output of
+// `go run ./cmd/analyze -charts -heatmaps`. It was captured before the
+// pre-iterator entry points were deleted and is the cross-commit spec
+// every later refactor of the pipeline must reproduce byte for byte.
+const seed42Golden = "testdata/seed42_full.txt"
+
+// TestAnalyzeSimulateMatchesGolden: the paper-scale simulation study must
+// render the committed seed-42 report byte for byte. The study carries
+// its Config, and a pure-streaming run keeps both Config and Figures.
+func TestAnalyzeSimulateMatchesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign")
 	}
-	legacy := RunStudy(campaign.DefaultConfig(8))
-	var want bytes.Buffer
-	legacy.FullReport(&want, ReportOptions{Charts: true, Heatmaps: true})
-
-	study, err := Analyze(context.Background(), Simulate(campaign.DefaultConfig(8)))
+	want, err := os.ReadFile(seed42Golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	study, err := Analyze(context.Background(), Simulate(campaign.DefaultConfig(42)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
 	study.FullReport(&got, ReportOptions{Charts: true, Heatmaps: true})
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatal("Analyze(Simulate) report diverges from RunStudy")
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("seed-42 report diverges from %s (%d vs %d bytes); first difference at byte %d",
+			seed42Golden, got.Len(), len(want), firstDiff(got.Bytes(), want))
 	}
-	if study.Config == nil || study.Result == nil {
-		t.Fatal("simulation study lost its campaign view")
-	}
-	if study.Result.AllocFails != legacy.Result.AllocFails {
-		t.Fatalf("AllocFails %d, want %d", study.Result.AllocFails, legacy.Result.AllocFails)
+	if study.Config == nil {
+		t.Fatal("simulation study lost its Config")
 	}
 
-	// A pure-streaming simulation carries no Result: empty slices next to
-	// full raw-log counters would be an inconsistent campaign view.
 	lean, err := Analyze(context.Background(), Simulate(campaign.DefaultConfig(8)), WithoutDataset())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lean.Result != nil {
-		t.Fatal("WithoutDataset simulation still built a campaign Result")
-	}
 	if lean.Config == nil || lean.Figures == nil {
 		t.Fatal("WithoutDataset simulation lost Config or Figures")
 	}
+}
+
+// firstDiff returns the index of the first byte where a and b differ.
+func firstDiff(a, b []byte) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
 }
 
 // TestAnalyzeValidatesOptions: invalid configurations must produce
@@ -122,8 +124,6 @@ func TestAnalyzeValidatesOptions(t *testing.T) {
 	}
 
 	s, err := Analyze(ctx, Logs(dir), WithWorkers(-3))
-	check("workers", s, err)
-	s, err = StudyFromLogs(dir, "", -1) // the old door validates too now
 	check("workers", s, err)
 	s, err = Analyze(ctx, Logs(dir), WithController("not-a-node"))
 	check("controller", s, err)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
+	"sort"
 	"testing"
 
 	"unprotected/internal/campaign"
@@ -13,15 +15,18 @@ import (
 	"unprotected/internal/stream"
 )
 
-// --- differential harness: old vs new delivery ---
+// --- differential harness: naive oracle vs Analyze ---
 //
 // The batched, pooled delivery path (stream.Deliver via Analyze) must be
-// observationally identical to the pre-batching architecture. The old
-// side here is not a re-spelling of the new one: campaign.Stream drives
-// the per-element kway.Merge directly into callbacks, with no block
-// layer, no pooled buffers and no iterator plumbing in between. Each
-// matrix cell renders the complete study — every figure, table, chart and
-// heatmap — from both paths and requires the bytes to be equal.
+// observationally identical to a deliberately naive one. The oracle
+// shares no ordering code with the path under test: it drains the
+// source into plain slices, restores the canonical orders with a stable
+// sort over the total orders extract.Compare and
+// eventlog.CompareSessions, and feeds the sorted slices to the study sink
+// one element at a time — no k-way merge, no blocks, no pooled buffers.
+// Each matrix cell requires both paths to collect the same dataset in
+// the same order and to render the complete study — every figure,
+// table, chart and heatmap — to the same bytes.
 
 // diffConfig builds one matrix cell's campaign configuration.
 func diffConfig(seed uint64, blades int, counterFrac float64, workers int) *campaign.Config {
@@ -45,33 +50,42 @@ func topoWithBlades(n int) *cluster.Topology {
 	return topo
 }
 
-// streamStudy assembles a Study through the old delivery architecture:
-// campaign.Stream's per-element callbacks feed the same sink Analyze
-// uses, so any divergence in the rendered report is attributable to the
-// delivery layer alone.
-func streamStudy(cfg *campaign.Config) *Study {
-	var controller, pathological cluster.NodeID
-	if cfg.Profile != nil {
-		controller = cfg.Profile.ControllerNode
-		pathological = cfg.Profile.PathologicalNode
+// naiveStudy is the collect-and-sort oracle: it drains src, checks the
+// prologue counts against the deliveries, stably sorts both halves into
+// canonical order and folds them through a fresh sink element by element.
+func naiveStudy(t *testing.T, src stream.Source, controller, pathological cluster.NodeID, topo *cluster.Topology) *Study {
+	t.Helper()
+	var st *stream.Stats
+	var faults []extract.Fault
+	var sessions []eventlog.Session
+	for ev, err := range src.Events(context.Background()) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch ev.Kind {
+		case stream.KindStats:
+			st = ev.Stats
+		case stream.KindFault:
+			faults = append(faults, ev.Fault)
+		case stream.KindSession:
+			sessions = append(sessions, ev.Session)
+		}
 	}
-	sink := newStreamSink(controller, pathological)
-	stats := campaign.Stream(cfg, campaign.StreamHandler{
-		Begin: func(s *campaign.Stats) {
-			sink.dataset.Faults = make([]extract.Fault, 0, s.Faults)
-			sink.dataset.Sessions = make([]eventlog.Session, 0, s.Sessions)
-		},
-		Fault:   sink.fault,
-		Session: sink.session,
+	if st == nil || st.Faults != len(faults) || st.Sessions != len(sessions) {
+		t.Fatalf("prologue %+v disagrees with %d faults / %d sessions delivered", st, len(faults), len(sessions))
+	}
+	sort.SliceStable(faults, func(i, j int) bool { return extract.Compare(&faults[i], &faults[j]) < 0 })
+	sort.SliceStable(sessions, func(i, j int) bool {
+		return eventlog.CompareSessions(&sessions[i], &sessions[j]) < 0
 	})
-	study := sink.study(cfg.Topo, stats.RawLogs, stats.RawLogsByNode)
-	study.Config = cfg
-	study.Result = &campaign.Result{
-		Cfg: cfg, Faults: study.Dataset.Faults, Sessions: study.Dataset.Sessions,
-		RawLogs: stats.RawLogs, RawLogsByNode: stats.RawLogsByNode,
-		AllocFails: stats.AllocFails,
+	sink := newStreamSink(controller, pathological)
+	for _, f := range faults {
+		sink.fault(f)
 	}
-	return study
+	for _, s := range sessions {
+		sink.session(s)
+	}
+	return sink.study(topo, st.RawLogs, st.RawLogsByNode)
 }
 
 func renderFull(t *testing.T, s *Study) []byte {
@@ -81,8 +95,27 @@ func renderFull(t *testing.T, s *Study) []byte {
 	return buf.Bytes()
 }
 
-// TestDifferentialDeliveryMatrix: workers × blades × pattern, old vs new,
-// byte for byte.
+// assertSameStudy requires got to equal the oracle's study: the same
+// dataset slices, element for element in delivery order (most figures
+// are insensitive to how the per-node streams interleave, the slices are
+// not), and byte-identical rendered reports.
+func assertSameStudy(t *testing.T, want, got *Study) {
+	t.Helper()
+	if !slices.Equal(got.Dataset.Faults, want.Dataset.Faults) {
+		t.Fatalf("Analyze delivered %d faults, the naive oracle %d, or in another order",
+			len(got.Dataset.Faults), len(want.Dataset.Faults))
+	}
+	if !slices.Equal(got.Dataset.Sessions, want.Dataset.Sessions) {
+		t.Fatalf("Analyze delivered %d sessions, the naive oracle %d, or in another order",
+			len(got.Dataset.Sessions), len(want.Dataset.Sessions))
+	}
+	if w, g := renderFull(t, want), renderFull(t, got); !bytes.Equal(w, g) {
+		t.Fatalf("Analyze report diverges from the naive oracle's (%d vs %d bytes)", len(g), len(w))
+	}
+}
+
+// TestDifferentialDeliveryMatrix: workers × blades × pattern, naive
+// oracle vs Analyze, byte for byte.
 func TestDifferentialDeliveryMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix of campaigns")
@@ -93,15 +126,14 @@ func TestDifferentialDeliveryMatrix(t *testing.T) {
 			for _, frac := range []float64{0, 0.15} {
 				name := fmt.Sprintf("workers=%d/blades=%d/counter=%v", workers, blades, frac)
 				t.Run(name, func(t *testing.T) {
-					want := renderFull(t, streamStudy(diffConfig(seed, blades, frac, workers)))
+					cfg := diffConfig(seed, blades, frac, workers)
+					want := naiveStudy(t, Simulate(cfg),
+						cfg.Profile.ControllerNode, cfg.Profile.PathologicalNode, cfg.Topo)
 					study, err := Analyze(context.Background(), Simulate(diffConfig(seed, blades, frac, workers)))
 					if err != nil {
 						t.Fatal(err)
 					}
-					got := renderFull(t, study)
-					if !bytes.Equal(want, got) {
-						t.Fatalf("batched delivery changed the rendered study (%d vs %d bytes)", len(want), len(got))
-					}
+					assertSameStudy(t, want, study)
 					if n := stream.LiveBatches(); n != 0 {
 						t.Fatalf("%d pooled delivery blocks leaked", n)
 					}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"unprotected/internal/campaign"
@@ -60,34 +61,6 @@ func replayFixture() ([]eventlog.Session, []extract.Fault, string) {
 	return sessions, faults, controller
 }
 
-// TestFullReportFiguresMatchSliceFallback: a stream-fed study (Figures
-// set) and the same dataset without accumulators must render byte-identical
-// reports — the accumulators are the same arithmetic in the same order.
-func TestFullReportFiguresMatchSliceFallback(t *testing.T) {
-	sessions, faults, controller := replayFixture()
-	dir := t.TempDir()
-	if err := logstore.Export(sessions, faults, dir); err != nil {
-		t.Fatal(err)
-	}
-	streamed, err := StudyFromLogs(dir, controller, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if streamed.Figures == nil {
-		t.Fatal("stream-built study carries no accumulators")
-	}
-	plain := &Study{Dataset: streamed.Dataset}
-
-	opts := ReportOptions{Charts: true, Heatmaps: true}
-	var a, b bytes.Buffer
-	streamed.FullReport(&a, opts)
-	plain.FullReport(&b, opts)
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("accumulator report diverges from slice report:\n--- accumulators ---\n%s\n--- slices ---\n%s",
-			a.String(), b.String())
-	}
-}
-
 // TestStudyFromLogsDeterministicAcrossWorkers: the acceptance criterion —
 // the -from-logs report must be byte-identical for every loader pool size
 // and across repeated runs.
@@ -99,7 +72,7 @@ func TestStudyFromLogsDeterministicAcrossWorkers(t *testing.T) {
 	}
 	var ref []byte
 	for _, workers := range []int{1, 1, 2, 4, 16} {
-		study, err := StudyFromLogs(dir, controller, workers)
+		study, err := Analyze(context.Background(), Logs(dir, WithController(controller), WithWorkers(workers)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,12 +98,15 @@ func TestStudyFromLogsMatchesCampaignStudy(t *testing.T) {
 		t.Skip("full campaign")
 	}
 	cfg := campaign.DefaultConfig(11)
-	mem := RunStudy(cfg)
+	mem, err := Analyze(context.Background(), Simulate(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
 	if err := logstore.Export(mem.Dataset.Sessions, mem.Dataset.Faults, dir); err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := StudyFromLogs(dir, cfg.Profile.ControllerNode.String(), 0)
+	replayed, err := Analyze(context.Background(), Logs(dir, WithController(cfg.Profile.ControllerNode.String())))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func TestStoreMatchesLogsReportCampaign(t *testing.T) {
 		t.Skip("full campaign")
 	}
 	ctx := context.Background()
-	res := campaign.Run(campaign.DefaultConfig(42))
+	res := RunPaperStudy(42).Dataset
 	logDir := t.TempDir()
 	if err := logstore.Export(res.Sessions, res.Faults, logDir); err != nil {
 		t.Fatal(err)

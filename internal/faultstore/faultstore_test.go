@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"hash/crc32"
+	"iter"
 	"os"
 	"path/filepath"
 	"slices"
@@ -46,10 +47,16 @@ func exportDir(t *testing.T, faults []extract.Fault, sessions []eventlog.Session
 // drain collects everything a query delivers.
 func drain(t *testing.T, s *Store, q Query) ([]extract.Fault, []eventlog.Session, *stream.Stats) {
 	t.Helper()
+	return drainSeq(t, s.Events(context.Background(), q))
+}
+
+// drainSeq collects everything a stream delivers.
+func drainSeq(t *testing.T, seq iter.Seq2[stream.Event, error]) ([]extract.Fault, []eventlog.Session, *stream.Stats) {
+	t.Helper()
 	var faults []extract.Fault
 	var sessions []eventlog.Session
 	var stats stream.Stats
-	for ev, err := range s.Events(context.Background(), q) {
+	for ev, err := range seq {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,9 +99,9 @@ func TestStoreRoundTripCampaign(t *testing.T) {
 		t.Skip("full campaign")
 	}
 	ctx := context.Background()
-	res := campaign.Run(campaign.DefaultConfig(42))
+	faults, sessions, _ := drainSeq(t, campaign.Events(ctx, campaign.DefaultConfig(42)))
 	src := t.TempDir()
-	if err := logstore.Export(res.Sessions, res.Faults, src); err != nil {
+	if err := logstore.Export(sessions, faults, src); err != nil {
 		t.Fatal(err)
 	}
 
@@ -103,9 +110,9 @@ func TestStoreRoundTripCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Faults != len(res.Faults) || stats.Sessions != len(res.Sessions) {
+	if stats.Faults != len(faults) || stats.Sessions != len(sessions) {
 		t.Fatalf("ingested %d faults / %d sessions, want %d / %d",
-			stats.Faults, stats.Sessions, len(res.Faults), len(res.Sessions))
+			stats.Faults, stats.Sessions, len(faults), len(sessions))
 	}
 	if stats.Segments < 2 {
 		t.Fatalf("campaign ingest produced %d segments, want a partitioned store", stats.Segments)

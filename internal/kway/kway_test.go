@@ -3,6 +3,7 @@ package kway
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -26,7 +27,7 @@ func TestMergeOrders(t *testing.T) {
 		{3, 6, 9, 11, 12},
 	}
 	var got []int
-	Merge(streams, cmpInt, func(v int) { got = append(got, v) })
+	got = slices.AppendSeq(got, MergeSeq(streams, cmpInt))
 	want := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("merge order %v, want %v", got, want)
@@ -35,12 +36,12 @@ func TestMergeOrders(t *testing.T) {
 
 func TestMergeEdgeCases(t *testing.T) {
 	var got []int
-	Merge(nil, cmpInt, func(v int) { got = append(got, v) })
-	Merge([][]int{{}, {}}, cmpInt, func(v int) { got = append(got, v) })
+	got = slices.AppendSeq(got, MergeSeq(nil, cmpInt))
+	got = slices.AppendSeq(got, MergeSeq([][]int{{}, {}}, cmpInt))
 	if len(got) != 0 {
 		t.Fatalf("empty streams emitted %v", got)
 	}
-	Merge([][]int{{5, 6, 7}}, cmpInt, func(v int) { got = append(got, v) })
+	got = slices.AppendSeq(got, MergeSeq([][]int{{5, 6, 7}}, cmpInt))
 	if !reflect.DeepEqual(got, []int{5, 6, 7}) {
 		t.Fatalf("single stream %v", got)
 	}
@@ -65,7 +66,7 @@ func TestMergeStableOnTies(t *testing.T) {
 		}
 	}
 	var got []kv
-	Merge(streams, cmp, func(v kv) { got = append(got, v) })
+	got = slices.AppendSeq(got, MergeSeq(streams, cmp))
 	want := []kv{{1, 0}, {1, 1}, {1, 2}, {2, 0}, {2, 1}, {2, 2}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("tie order %v, want %v", got, want)
@@ -88,7 +89,7 @@ func TestMergeRandomizedAgainstSort(t *testing.T) {
 		}
 		sort.Ints(all)
 		var got []int
-		Merge(streams, cmpInt, func(v int) { got = append(got, v) })
+		got = slices.AppendSeq(got, MergeSeq(streams, cmpInt))
 		if len(got) == 0 && len(all) == 0 {
 			continue
 		}
@@ -155,13 +156,13 @@ func TestMergeSeqZeroAllocPerElement(t *testing.T) {
 }
 
 // TestMergeBlocksMatchesMerge: the block-granular merge must flatten to
-// exactly the element-wise sequence for every block size, deliver full
+// exactly the element-wise MergeSeq sequence for every block size, deliver full
 // blocks plus one final partial, honour an emit-false stop, and report
 // drained status accordingly.
 func TestMergeBlocksMatchesMerge(t *testing.T) {
 	streams := [][]int{{1, 4, 7, 10}, {2, 5, 8}, {}, {3, 6, 9, 11, 12}}
 	var want []int
-	Merge(streams, cmpInt, func(v int) { want = append(want, v) })
+	want = slices.AppendSeq(want, MergeSeq(streams, cmpInt))
 
 	ident := func(v int) int { return v }
 	for _, size := range []int{1, 2, 3, 5, 12, 13, 64} {

@@ -3,81 +3,71 @@ package logstore
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
 	"unprotected/internal/eventlog"
 	"unprotected/internal/extract"
+	"unprotected/internal/iofault"
 	"unprotected/internal/stream"
 )
 
 // TestEventsMatchesStreamWorkers: the iterator must deliver exactly the
-// sequence the callback API delivers over the same directory — stats
-// prologue first, then faults, then sessions, element for element — for
-// every worker count.
+// sequence a collect-then-sort reference produces over the same directory
+// — stats prologue first, then faults, then sessions, element for element
+// — for every worker count. The reference loads every file on one worker,
+// concatenates the per-node streams in file order and stable-sorts them
+// globally, so it shares no merge code with Events.
 func TestEventsMatchesStreamWorkers(t *testing.T) {
 	dir := t.TempDir()
 	synthDir(t, dir, 12, 9, 25)
 
-	var wantFaults []extract.Fault
-	var wantSessions []eventlog.Session
-	wantStats, err := StreamWorkers(dir, 1, StreamHandler{
-		Fault:   func(f extract.Fault) { wantFaults = append(wantFaults, f) },
-		Session: func(s eventlog.Session) { wantSessions = append(wantSessions, s) },
-	})
+	wantStats, nodes, err := collect(context.Background(), dir, 1, iofault.OS)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var wantFaults []extract.Fault
+	var wantSessions []eventlog.Session
+	for _, ns := range nodes {
+		wantFaults = append(wantFaults, ns.faults...)
+		wantSessions = append(wantSessions, ns.sessions...)
+	}
+	sort.SliceStable(wantFaults, func(i, j int) bool {
+		return extract.Compare(&wantFaults[i], &wantFaults[j]) < 0
+	})
+	sort.SliceStable(wantSessions, func(i, j int) bool {
+		return eventlog.CompareSessions(&wantSessions[i], &wantSessions[j]) < 0
+	})
+	if len(wantFaults) == 0 || len(wantSessions) == 0 {
+		t.Fatal("reference replay delivered nothing")
+	}
 
 	for _, workers := range []int{0, 1, 3, 16} {
-		var gotFaults []extract.Fault
-		var gotSessions []eventlog.Session
-		var gotStats *stream.Stats
-		for ev, err := range Events(context.Background(), dir, workers) {
-			if err != nil {
-				t.Fatal(err)
-			}
-			switch ev.Kind {
-			case stream.KindStats:
-				if gotStats != nil || len(gotFaults) > 0 || len(gotSessions) > 0 {
-					t.Fatal("stats prologue missing or not first")
-				}
-				gotStats = ev.Stats
-			case stream.KindFault:
-				if len(gotSessions) > 0 {
-					t.Fatal("fault delivered after a session")
-				}
-				gotFaults = append(gotFaults, ev.Fault)
-			case stream.KindSession:
-				gotSessions = append(gotSessions, ev.Session)
-			}
+		got := mustReplay(t, dir, workers)
+		if !reflect.DeepEqual(got.Stats, *wantStats) {
+			t.Fatalf("workers=%d: stats differ: %+v vs %+v", workers, got.Stats, *wantStats)
 		}
-		if gotStats == nil {
-			t.Fatalf("workers=%d: no stats prologue", workers)
-		}
-		if gotStats.Faults != wantStats.Faults || gotStats.Sessions != wantStats.Sessions ||
-			gotStats.RawLogs != wantStats.RawLogs {
-			t.Fatalf("workers=%d: stats differ: %+v vs %+v", workers, gotStats, wantStats)
-		}
-		if len(gotFaults) != len(wantFaults) || len(gotSessions) != len(wantSessions) {
+		if len(got.Faults) != len(wantFaults) || len(got.Sessions) != len(wantSessions) {
 			t.Fatalf("workers=%d: lengths differ", workers)
 		}
-		for i := range gotFaults {
-			if gotFaults[i] != wantFaults[i] {
+		for i := range got.Faults {
+			if got.Faults[i] != wantFaults[i] {
 				t.Fatalf("workers=%d: fault %d differs", workers, i)
 			}
 		}
-		for i := range gotSessions {
-			if gotSessions[i] != wantSessions[i] {
+		for i := range got.Sessions {
+			if got.Sessions[i] != wantSessions[i] {
 				t.Fatalf("workers=%d: session %d differs", workers, i)
 			}
 		}
 	}
 }
 
-// TestEventsSurfacesLoadErrors: a broken file must surface as the
-// iterator's error, same as the callback API's return.
+// TestEventsSurfacesLoadErrors: a missing directory must surface as the
+// iterator's error.
 func TestEventsSurfacesLoadErrors(t *testing.T) {
 	for ev, err := range Events(context.Background(), t.TempDir()+"/missing", 2) {
 		if err == nil {

@@ -17,7 +17,7 @@ import (
 // independent faults (one line per fault — the raw multi-million-record
 // stream would be gigabytes and adds nothing the extraction keeps). Each
 // line's last=/logs= fields record the collapsed run's extent and raw
-// volume, so Stream and Load reconstruct the exact fault set, including
+// volume, so Events reconstructs the exact fault set, including
 // per-fault raw-log weights.
 func Export(sessions []eventlog.Session, faults []extract.Fault, dir string) error {
 	return ExportFS(sessions, faults, dir, iofault.OS)

@@ -35,19 +35,18 @@ func TestExportLoadRoundTrip(t *testing.T) {
 	if err := Export(sessions, faults, dir); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Load(dir)
+	res, err := replay(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if len(res.Nodes) != 2 {
-		t.Fatalf("nodes %v", res.Nodes)
+	if files, err := ListNodeFiles(dir); err != nil || len(files) != 2 {
+		t.Fatalf("node files %v (%v)", files, err)
 	}
-	if len(res.Runs) != len(faults) {
-		t.Fatalf("runs %d, want %d", len(res.Runs), len(faults))
+	if len(res.Faults) != len(faults) {
+		t.Fatalf("faults %d, want %d", len(res.Faults), len(faults))
 	}
-	back := extract.Faults(res.Runs)
-	extract.SortFaults(back)
+	back := res.Faults
 	for i := range back {
 		want := faults[i]
 		got := back[i]
@@ -78,8 +77,8 @@ func TestExportLoadRoundTrip(t *testing.T) {
 	}
 
 	// Addresses survive the virtual-address encoding.
-	if dram.VirtAddr(res.Runs[0].Addr) != dram.VirtAddr(100) &&
-		dram.VirtAddr(res.Runs[0].Addr) != dram.VirtAddr(2000) {
+	if dram.VirtAddr(res.Faults[0].Addr) != dram.VirtAddr(100) &&
+		dram.VirtAddr(res.Faults[0].Addr) != dram.VirtAddr(2000) {
 		t.Fatal("address mapping broken")
 	}
 }
@@ -89,11 +88,11 @@ func TestExportEmptyDataset(t *testing.T) {
 	if err := Export(nil, nil, dir); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Load(dir)
+	res, err := replay(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Runs) != 0 || len(res.Sessions) != 0 {
+	if len(res.Faults) != 0 || len(res.Sessions) != 0 {
 		t.Fatal("phantom data from empty export")
 	}
 }

@@ -48,12 +48,12 @@ func TestFDCapEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := Load(dir)
+	res, err := replay(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Nodes) != nodes {
-		t.Fatalf("files on disk for %d nodes, want %d", len(res.Nodes), nodes)
+	if files, err := ListNodeFiles(dir); err != nil || len(files) != nodes {
+		t.Fatalf("files on disk for %d nodes, want %d (%v)", len(files), nodes, err)
 	}
 	if len(res.Sessions) != nodes*rounds {
 		t.Fatalf("sessions %d, want %d (eviction lost records)", len(res.Sessions), nodes*rounds)
@@ -135,7 +135,7 @@ func TestReopenCountUnderRoundRobin(t *testing.T) {
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Load(dir)
+	res, err := replay(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestStoreConcurrentAppendCounters(t *testing.T) {
 		t.Fatalf("NodeCount %d, want %d", got, writers)
 	}
 	// Every record must survive the concurrent eviction churn intact.
-	res, err := Load(dir)
+	res, err := replay(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,6 @@ import (
 
 	"unprotected/internal/cluster"
 	"unprotected/internal/eventlog"
-	"unprotected/internal/extract"
 	"unprotected/internal/fdlimit"
 	"unprotected/internal/iofault"
 )
@@ -300,45 +299,4 @@ func listNodeFiles(fsys iofault.FS, dir string) ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-// LoadResult is a directory read back through the §II-C pipeline.
-type LoadResult struct {
-	// Runs are the collapsed error runs of every node, in the canonical
-	// extract.Compare order — exactly the order the campaign path uses.
-	Runs []extract.RawRun
-	// RawLogs counts the ERROR records consumed (pre-collapsed lines
-	// count their logs= weight).
-	RawLogs int64
-	// RawLogsByNode splits the raw volume per node.
-	RawLogsByNode map[cluster.NodeID]int64
-	// Sessions reconstructed from START/END records, with the
-	// conservative truncation rule applied, in eventlog.CompareSessions
-	// order.
-	Sessions []eventlog.Session
-	// Nodes lists the nodes found, sorted.
-	Nodes []cluster.NodeID
-}
-
-// Load reads every node file under dir, collapses consecutive ERROR
-// records into runs and reconstructs sessions. It is a thin collect-all
-// wrapper over Stream: anything that can process faults or sessions one at
-// a time should use Stream instead.
-func Load(dir string) (*LoadResult, error) {
-	res := &LoadResult{}
-	st, err := Stream(dir, StreamHandler{
-		Begin: func(st *Stats) {
-			res.Runs = make([]extract.RawRun, 0, st.Faults)
-			res.Sessions = make([]eventlog.Session, 0, st.Sessions)
-		},
-		Fault:   func(f extract.Fault) { res.Runs = append(res.Runs, f.RawRun) },
-		Session: func(s eventlog.Session) { res.Sessions = append(res.Sessions, s) },
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.RawLogs = st.RawLogs
-	res.RawLogsByNode = st.RawLogsByNode
-	res.Nodes = st.Nodes
-	return res, nil
 }

@@ -59,7 +59,7 @@ func TestStoreWriteLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := Load(dir)
+	res, err := replay(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +67,11 @@ func TestStoreWriteLoad(t *testing.T) {
 		t.Fatalf("raw logs %d", res.RawLogs)
 	}
 	// The two consecutive ERROR records collapse into one run.
-	if len(res.Runs) != 1 || res.Runs[0].Logs != 2 {
-		t.Fatalf("runs %+v", res.Runs)
+	if len(res.Faults) != 1 || res.Faults[0].Logs != 2 {
+		t.Fatalf("faults %+v", res.Faults)
 	}
-	if len(res.Nodes) != 2 {
-		t.Fatalf("nodes %v", res.Nodes)
+	if files, err := ListNodeFiles(dir); err != nil || len(files) != 2 {
+		t.Fatalf("node files %v (%v)", files, err)
 	}
 	// Session accounting: hostA 1h, hostB truncated (0h).
 	var hours float64
@@ -89,13 +89,13 @@ func TestLoadRejectsCorruptFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte("GARBAGE LINE\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(dir); err == nil {
+	if _, err := replay(dir, 0); err == nil {
 		t.Fatal("corrupt log accepted")
 	}
 }
 
 func TestEndToEndScannerToStoreToExtraction(t *testing.T) {
-	// The real scanner writes a node log file; Load reproduces the exact
+	// The real scanner writes a node log file; a replay reproduces the exact
 	// fault the injector planted.
 	dir := t.TempDir()
 	store, err := NewStore(dir)
@@ -122,14 +122,14 @@ func TestEndToEndScannerToStoreToExtraction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := Load(dir)
+	res, err := replay(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Runs) == 0 {
+	if len(res.Faults) == 0 {
 		t.Fatal("no faults recovered from disk")
 	}
-	for _, run := range res.Runs {
+	for _, run := range res.Faults {
 		if run.Addr != 123 {
 			t.Fatalf("fault at %d, want 123", run.Addr)
 		}

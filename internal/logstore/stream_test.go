@@ -1,7 +1,10 @@
 package logstore
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"iter"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,6 +16,7 @@ import (
 	"unprotected/internal/eventlog"
 	"unprotected/internal/extract"
 	"unprotected/internal/rng"
+	"unprotected/internal/stream"
 	"unprotected/internal/thermal"
 	"unprotected/internal/timebase"
 )
@@ -61,104 +65,102 @@ func synthDir(t testing.TB, dir string, nodes, sessionsPer, faultsPer int) ([]ev
 	return sessions, faults
 }
 
-// collectStream drains a full StreamWorkers run into slices.
-func collectStream(t testing.TB, dir string, workers int) ([]extract.Fault, []eventlog.Session, *Stats) {
+// replayed is a drained replay: the delivered faults and sessions in
+// delivery order plus the stream's stats prologue. The slices shadow the
+// prologue's Faults/Sessions counts; reach those as res.Stats.Faults.
+type replayed struct {
+	stream.Stats
+	Faults   []extract.Fault
+	Sessions []eventlog.Session
+}
+
+// replay drains Events over dir (workers 0 means GOMAXPROCS) into slices.
+func replay(dir string, workers int) (*replayed, error) {
+	return drain(Events(context.Background(), dir, workers))
+}
+
+// drain collects a complete stream. Besides the iterator's own errors it
+// reports a malformed stream: a missing or misplaced stats prologue, a
+// fault after a session, or a prologue whose counts disagree with the
+// deliveries.
+func drain(seq iter.Seq2[stream.Event, error]) (*replayed, error) {
+	var res replayed
+	sawStats := false
+	for ev, err := range seq {
+		if err != nil {
+			return nil, err
+		}
+		switch ev.Kind {
+		case stream.KindStats:
+			if sawStats || len(res.Faults) > 0 || len(res.Sessions) > 0 {
+				return nil, errors.New("stats prologue repeated or not first")
+			}
+			sawStats = true
+			res.Stats = *ev.Stats
+		case stream.KindFault:
+			if len(res.Sessions) > 0 {
+				return nil, errors.New("fault delivered after a session")
+			}
+			res.Faults = append(res.Faults, ev.Fault)
+		case stream.KindSession:
+			res.Sessions = append(res.Sessions, ev.Session)
+		default:
+			return nil, fmt.Errorf("unexpected event kind %d", ev.Kind)
+		}
+	}
+	if !sawStats {
+		return nil, errors.New("stream ended without a stats prologue")
+	}
+	if res.Stats.Faults != len(res.Faults) || res.Stats.Sessions != len(res.Sessions) {
+		return nil, fmt.Errorf("prologue counts (%d, %d) disagree with delivery (%d, %d)",
+			res.Stats.Faults, res.Stats.Sessions, len(res.Faults), len(res.Sessions))
+	}
+	return &res, nil
+}
+
+// mustReplay is replay that fails the test on any error.
+func mustReplay(t testing.TB, dir string, workers int) *replayed {
 	t.Helper()
-	var faults []extract.Fault
-	var sessions []eventlog.Session
-	st, err := StreamWorkers(dir, workers, StreamHandler{
-		Begin: func(st *Stats) {
-			faults = make([]extract.Fault, 0, st.Faults)
-			sessions = make([]eventlog.Session, 0, st.Sessions)
-		},
-		Fault:   func(f extract.Fault) { faults = append(faults, f) },
-		Session: func(s eventlog.Session) { sessions = append(sessions, s) },
-	})
+	res, err := replay(dir, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return faults, sessions, st
+	return res
 }
 
 // TestStreamDeterministicAcrossWorkers: the delivered sequences and stats
-// must be identical for any worker-pool size, and in canonical order.
+// must be identical for any worker-pool size (0 is GOMAXPROCS), and in
+// canonical order.
 func TestStreamDeterministicAcrossWorkers(t *testing.T) {
 	dir := t.TempDir()
 	synthDir(t, dir, 40, 8, 25)
 
-	refFaults, refSessions, refStats := collectStream(t, dir, 1)
-	if len(refFaults) == 0 || len(refSessions) == 0 {
+	ref := mustReplay(t, dir, 1)
+	if len(ref.Faults) == 0 || len(ref.Sessions) == 0 {
 		t.Fatal("stream delivered nothing")
 	}
-	for i := 1; i < len(refFaults); i++ {
-		if extract.Compare(&refFaults[i-1], &refFaults[i]) >= 0 {
+	for i := 1; i < len(ref.Faults); i++ {
+		if extract.Compare(&ref.Faults[i-1], &ref.Faults[i]) >= 0 {
 			t.Fatalf("fault %d out of canonical order", i)
 		}
 	}
-	for i := 1; i < len(refSessions); i++ {
-		if eventlog.CompareSessions(&refSessions[i-1], &refSessions[i]) >= 0 {
+	for i := 1; i < len(ref.Sessions); i++ {
+		if eventlog.CompareSessions(&ref.Sessions[i-1], &ref.Sessions[i]) >= 0 {
 			t.Fatalf("session %d out of canonical order", i)
 		}
 	}
-	if refStats.Faults != len(refFaults) || refStats.Sessions != len(refSessions) {
-		t.Fatalf("stats (%d, %d) disagree with delivery (%d, %d)",
-			refStats.Faults, refStats.Sessions, len(refFaults), len(refSessions))
-	}
 
-	for _, workers := range []int{2, 3, 8, 64} {
-		faults, sessions, st := collectStream(t, dir, workers)
-		if !reflect.DeepEqual(faults, refFaults) {
+	for _, workers := range []int{0, 2, 3, 8, 16, 64} {
+		got := mustReplay(t, dir, workers)
+		if !reflect.DeepEqual(got.Faults, ref.Faults) {
 			t.Fatalf("workers=%d: fault stream differs", workers)
 		}
-		if !reflect.DeepEqual(sessions, refSessions) {
+		if !reflect.DeepEqual(got.Sessions, ref.Sessions) {
 			t.Fatalf("workers=%d: session stream differs", workers)
 		}
-		if !reflect.DeepEqual(st, refStats) {
-			t.Fatalf("workers=%d: stats differ: %+v vs %+v", workers, st, refStats)
+		if !reflect.DeepEqual(got.Stats, ref.Stats) {
+			t.Fatalf("workers=%d: stats differ: %+v vs %+v", workers, got.Stats, ref.Stats)
 		}
-	}
-}
-
-// TestLoadIsStreamCollectAll: Load must return exactly the streamed
-// sequences, now in canonical order (it used to hand-roll a partial sort
-// and leave sessions unsorted).
-func TestLoadIsStreamCollectAll(t *testing.T) {
-	dir := t.TempDir()
-	synthDir(t, dir, 12, 5, 9)
-	faults, sessions, st := collectStream(t, dir, 4)
-	res, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Runs) != len(faults) {
-		t.Fatalf("runs %d vs streamed faults %d", len(res.Runs), len(faults))
-	}
-	for i := range faults {
-		if res.Runs[i] != faults[i].RawRun {
-			t.Fatalf("run %d differs from streamed fault", i)
-		}
-	}
-	if !reflect.DeepEqual(res.Sessions, sessions) {
-		t.Fatal("Load sessions differ from streamed sessions")
-	}
-	if res.RawLogs != st.RawLogs || !reflect.DeepEqual(res.RawLogsByNode, st.RawLogsByNode) {
-		t.Fatal("Load raw-log accounting differs from streamed stats")
-	}
-	if !reflect.DeepEqual(res.Nodes, st.Nodes) {
-		t.Fatal("Load node list differs from streamed stats")
-	}
-}
-
-// TestStreamNilCallbacks: counts survive without either merge running.
-func TestStreamNilCallbacks(t *testing.T) {
-	dir := t.TempDir()
-	_, faults := synthDir(t, dir, 6, 4, 3)
-	st, err := Stream(dir, StreamHandler{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Faults != len(faults) || st.Sessions == 0 || st.RawLogs == 0 {
-		t.Fatalf("implausible stats with nil callbacks: %+v", st)
 	}
 }
 
@@ -172,7 +174,7 @@ func TestStreamPropagatesWorkerErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
-		if _, err := StreamWorkers(dir, workers, StreamHandler{}); err == nil {
+		if _, err := replay(dir, workers); err == nil {
 			t.Fatalf("workers=%d: corrupt file accepted", workers)
 		}
 	}
@@ -194,22 +196,18 @@ func TestStreamAttributesRawVolumeByRecordHost(t *testing.T) {
 	if err := os.WriteFile(misnamed, []byte(rec.String()+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var faults []extract.Fault
-	st, err := Stream(dir, StreamHandler{Fault: func(f extract.Fault) { faults = append(faults, f) }})
-	if err != nil {
-		t.Fatal(err)
+	res := mustReplay(t, dir, 0)
+	if len(res.Faults) != 1 || res.Faults[0].Node != trueHost {
+		t.Fatalf("fault attribution: %+v", res.Faults)
 	}
-	if len(faults) != 1 || faults[0].Node != trueHost {
-		t.Fatalf("fault attribution: %+v", faults)
-	}
-	if st.RawLogsByNode[trueHost] != 9 || len(st.RawLogsByNode) != 1 {
-		t.Fatalf("raw volume credited to the wrong node: %v", st.RawLogsByNode)
+	if res.RawLogsByNode[trueHost] != 9 || len(res.RawLogsByNode) != 1 {
+		t.Fatalf("raw volume credited to the wrong node: %v", res.RawLogsByNode)
 	}
 }
 
 // TestStreamCampaignEquivalence is the replay/campaign equivalence
 // contract: a campaign exported through the Store layout and re-read via
-// Stream yields the same faults (every field), the same sessions (modulo
+// Events yields the same faults (every field), the same sessions (modulo
 // the truncated-session end instants the log format deliberately cannot
 // carry — a lost END is unknowable), and raw-log accounting equal to the
 // campaign's for every characterized node. It also pins the
@@ -219,7 +217,10 @@ func TestStreamCampaignEquivalence(t *testing.T) {
 		t.Skip("full campaign")
 	}
 	cfg := campaign.DefaultConfig(7)
-	res := campaign.Run(cfg)
+	res, err := drain(campaign.Events(context.Background(), cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
 	if err := Export(res.Sessions, res.Faults, dir); err != nil {
 		t.Fatal(err)
@@ -234,7 +235,8 @@ func TestStreamCampaignEquivalence(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 8} {
-		faults, sessions, st := collectStream(t, dir, workers)
+		got := mustReplay(t, dir, workers)
+		faults, sessions := got.Faults, got.Sessions
 
 		if len(faults) != len(res.Faults) {
 			t.Fatalf("workers=%d: faults %d, want %d", workers, len(faults), len(res.Faults))
@@ -266,10 +268,10 @@ func TestStreamCampaignEquivalence(t *testing.T) {
 			sumLogs += int64(f.Logs)
 			perNode[f.Node] += int64(f.Logs)
 		}
-		if st.RawLogs != sumLogs {
-			t.Fatalf("workers=%d: RawLogs %d, want Σ fault.Logs %d", workers, st.RawLogs, sumLogs)
+		if got.RawLogs != sumLogs {
+			t.Fatalf("workers=%d: RawLogs %d, want Σ fault.Logs %d", workers, got.RawLogs, sumLogs)
 		}
-		if !reflect.DeepEqual(st.RawLogsByNode, perNode) {
+		if !reflect.DeepEqual(got.RawLogsByNode, perNode) {
 			t.Fatalf("workers=%d: per-node raw logs diverge from campaign", workers)
 		}
 		for id, n := range perNode {
@@ -283,14 +285,14 @@ func TestStreamCampaignEquivalence(t *testing.T) {
 		for _, f := range faults {
 			runSum += int64(f.Logs)
 		}
-		if runSum != st.RawLogs {
-			t.Fatalf("workers=%d: Σ run.Logs %d != RawLogs %d", workers, runSum, st.RawLogs)
+		if runSum != got.RawLogs {
+			t.Fatalf("workers=%d: Σ run.Logs %d != RawLogs %d", workers, runSum, got.RawLogs)
 		}
 	}
 }
 
-// BenchmarkLogstoreStream measures the replay loader over a
-// multi-hundred-node directory. workers=1 is the sequential baseline the
+// BenchmarkLogstoreStream measures the replay loader (Events, drained by
+// a counting consumer) over a multi-hundred-node directory. workers=1 is the sequential baseline the
 // parallel default must beat.
 func BenchmarkLogstoreStream(b *testing.B) {
 	dir := b.TempDir()
@@ -303,14 +305,16 @@ func BenchmarkLogstoreStream(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				st, err := StreamWorkers(dir, workers, StreamHandler{
-					Fault:   func(extract.Fault) {},
-					Session: func(eventlog.Session) {},
-				})
-				if err != nil {
-					b.Fatal(err)
+				faults := 0
+				for ev, err := range Events(context.Background(), dir, workers) {
+					if err != nil {
+						b.Fatal(err)
+					}
+					if ev.Kind == stream.KindFault {
+						faults++
+					}
 				}
-				if st.Faults == 0 {
+				if faults == 0 {
 					b.Fatal("empty stream")
 				}
 			}

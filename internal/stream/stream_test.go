@@ -8,8 +8,44 @@ import (
 	"unprotected/internal/dram"
 	"unprotected/internal/eventlog"
 	"unprotected/internal/extract"
+	"unprotected/internal/kway"
 	"unprotected/internal/timebase"
 )
+
+// deliverUnbatched is the reference delivery implementation: the merges
+// yield element-wise with no block layer in between. It encodes the
+// observable contract Deliver must match exactly —
+// TestDeliverMatchesUnbatched and FuzzEventBatchRoundTrip diff batched
+// delivery against it.
+func deliverUnbatched(ctx context.Context, yield func(Event, error) bool,
+	st *Stats, faultStreams [][]extract.Fault, sessionStreams [][]eventlog.Session) {
+	if !yield(StatsEvent(st), nil) {
+		return
+	}
+	done := ctx.Done()
+	for f := range kway.MergeSeq(faultStreams, extract.Compare) {
+		select {
+		case <-done:
+			yield(Event{}, ctx.Err())
+			return
+		default:
+		}
+		if !yield(FaultEvent(f), nil) {
+			return
+		}
+	}
+	for s := range kway.MergeSeq(sessionStreams, eventlog.CompareSessions) {
+		select {
+		case <-done:
+			yield(Event{}, ctx.Err())
+			return
+		default:
+		}
+		if !yield(SessionEvent(s), nil) {
+			return
+		}
+	}
+}
 
 // --- deterministic stream synthesis ---
 // A tiny LCG keyed by an explicit seed keeps every synthesized dataset
