@@ -33,6 +33,14 @@ func NewDailyAccum() *DailyAccum {
 
 // ObserveSession splits one session's TBh across the local days it
 // overlaps (DST-aware).
+//
+// Known misattribution: the walk steps 86400−SecondsIntoLocalDay real
+// seconds to the "next local midnight", which assumes a 24-hour day. On a
+// spring-forward day (23 local hours) a session crossing the 02:00→03:00
+// jump overshoots midnight by an hour, so the first hour of the following
+// day is credited to the DST day. The autumn day (25 hours) splits
+// correctly, in one extra step. Fixing it changes Fig 9's bytes and the
+// golden reports.
 func (a *DailyAccum) ObserveSession(s eventlog.Session) {
 	if s.Duration() == 0 {
 		return

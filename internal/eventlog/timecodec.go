@@ -9,9 +9,9 @@ package eventlog
 // checks including leap years, plus Go's documented tolerance for a
 // fractional-seconds suffix that is absent from the layout).
 //
-// Civil-date arithmetic follows the classic era-based algorithms
-// (Howard Hinnant's civil_from_days/days_from_civil), valid over the whole
-// proleptic Gregorian calendar.
+// Civil-date arithmetic is timebase's (Howard Hinnant's era-based
+// civil_from_days/days_from_civil), valid over the whole proleptic
+// Gregorian calendar.
 
 import (
 	"fmt"
@@ -35,14 +35,6 @@ const secondsPerDay = 86400
 // timebase.T the time.Parse pipeline yielded, even for absurd years.
 const maxEpochDelta = int64(math.MaxInt64 / time.Second)
 
-func floorDiv(a, b int64) int64 {
-	q := a / b
-	if a%b != 0 && (a < 0) != (b < 0) {
-		q--
-	}
-	return q
-}
-
 func isLeap(y int64) bool { return y%4 == 0 && (y%100 != 0 || y%400 == 0) }
 
 func daysInMonth(y int64, m int) int {
@@ -59,58 +51,14 @@ func daysInMonth(y int64, m int) int {
 	}
 }
 
-// daysFromCivil returns the number of days between 1970-01-01 and the civil
-// date (y, m, d); negative before the Unix epoch.
-func daysFromCivil(y int64, m, d int) int64 {
-	if m <= 2 {
-		y--
-	}
-	era := floorDiv(y, 400)
-	yoe := y - era*400 // [0, 399]
-	var mp int64
-	if m > 2 {
-		mp = int64(m) - 3
-	} else {
-		mp = int64(m) + 9
-	}
-	doy := (153*mp+2)/5 + int64(d) - 1     // [0, 365]
-	doe := yoe*365 + yoe/4 - yoe/100 + doy // [0, 146096]
-	return era*146097 + doe - 719468       // 719468 = days 0000-03-01..1970-01-01
-}
-
-// civilFromDays inverts daysFromCivil.
-func civilFromDays(z int64) (y int64, m, d int) {
-	z += 719468
-	era := floorDiv(z, 146097)
-	doe := z - era*146097                                  // [0, 146096]
-	yoe := (doe - doe/1460 + doe/36524 - doe/146096) / 365 // [0, 399]
-	y = yoe + era*400
-	doy := doe - (365*yoe + yoe/4 - yoe/100) // [0, 365]
-	mp := (5*doy + 2) / 153                  // [0, 11]
-	d = int(doy - (153*mp+2)/5 + 1)
-	if mp < 10 {
-		m = int(mp) + 3
-	} else {
-		m = int(mp) - 9
-	}
-	if m <= 2 {
-		y++
-	}
-	return y, m, d
-}
-
 // appendTimestamp renders t in the canonical layout, byte-identical to
-// t.Time().AppendFormat(b, tsLayout) for every t a parsed or simulated
-// record can carry (|t| ≤ maxEpochDelta, i.e. years 1723..2307 — beyond
-// that the old Time()-based path overflowed time.Duration and rendered
-// wrapped nonsense; the codec renders the true instant instead). Years
-// outside [0, 9999] cannot be rendered in the fixed four-digit form and
-// fall back to AppendFormat.
+// t.Time().AppendFormat(b, tsLayout). Years outside [0, 9999] cannot be
+// rendered in the fixed four-digit form and fall back to AppendFormat.
 func appendTimestamp(b []byte, t timebase.T) []byte {
 	unix := int64(t) + epochUnix
-	days := floorDiv(unix, secondsPerDay)
+	days := timebase.FloorDiv(unix, secondsPerDay)
 	rem := unix - days*secondsPerDay // [0, 86399]
-	y, m, d := civilFromDays(days)
+	y, m, d := timebase.CivilFromDays(days)
 	if y < 0 || y > 9999 {
 		return t.Time().AppendFormat(b, tsLayout)
 	}
@@ -195,7 +143,7 @@ func parseTimestamp(v []byte) (timebase.T, error) {
 	if mo < 1 || mo > 12 || d < 1 || d > daysInMonth(y, mo) || hh > 23 || mm > 59 || ss > 59 {
 		return 0, errTimestamp(v)
 	}
-	unix := daysFromCivil(y, mo, d)*secondsPerDay + int64(hh)*3600 + int64(mm)*60 + int64(ss)
+	unix := timebase.DaysFromCivil(y, mo, d)*secondsPerDay + int64(hh)*3600 + int64(mm)*60 + int64(ss)
 	delta := unix - epochUnix
 	// Match FromTime's truncation toward zero: a nonzero fraction on an
 	// instant before the epoch rounds the whole-second delta up.

@@ -9,6 +9,9 @@ func TestValidate(t *testing.T) {
 	if err := Validate(); err != nil {
 		t.Fatal(err)
 	}
+	if want := time.Date(2015, time.February, 1, 0, 0, 0, 0, time.UTC); !Epoch.Equal(want) {
+		t.Fatalf("epoch %v, want %v", Epoch, want)
+	}
 	if StudyDays != 394 {
 		t.Fatalf("study is %d days; Feb 2015 through Feb 2016 should be 394", StudyDays)
 	}
