@@ -19,7 +19,12 @@ func TestRunDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign")
 	}
-	a := run(t, smallConfig(7))
+	cfgA := smallConfig(7)
+	a := run(t, cfgA)
+	// The GOMAXPROCS default belongs to the pool, not the caller's Config.
+	if cfgA.Workers != 0 {
+		t.Fatalf("run rewrote cfg.Workers to %d, want the caller's 0", cfgA.Workers)
+	}
 	cfgB := smallConfig(7)
 	cfgB.Workers = 2 // different parallelism must not change results
 	b := run(t, cfgB)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -312,29 +313,36 @@ func drainErr(s *Store, q Query) (faults []extract.Fault, sessions []eventlog.Se
 }
 
 // TestDegradedReadSkipsCorruptSegment pins the degraded contract: strict
-// reads hard-fail on a CRC-broken segment, degraded reads deliver
-// everything else and account for the loss in the health report.
+// reads hard-fail on CRC-broken segments — naming the first one in
+// manifest order, whichever worker trips first — and degraded reads
+// deliver everything else and account for the loss in the health report.
 func TestDegradedReadSkipsCorruptSegment(t *testing.T) {
-	dir, segs, totalFaults, totalSessions := chaosStore(t)
-	victim := segs[0]
-	path := filepath.Join(dir, victim)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0x40
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
+	dir, _, totalFaults, totalSessions := chaosStore(t)
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := drainErr(s, Query{Workers: 1}); err == nil {
-		t.Fatal("strict read of a corrupt segment must fail")
-	} else if !strings.Contains(err.Error(), victim) {
-		t.Fatalf("strict error does not name the corrupt segment: %v", err)
+	// Corrupt the first and the last segment in manifest order: with
+	// several workers the later one can fail first.
+	first, later := s.man.segs[0].name, s.man.segs[len(s.man.segs)-1].name
+	for _, victim := range []string{first, later} {
+		path := filepath.Join(dir, victim)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)/2] ^= 0x40
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, workers := range []int{1, 4} {
+		if _, _, err := drainErr(s, Query{Workers: workers}); err == nil {
+			t.Fatalf("workers=%d: strict read of a corrupt segment must fail", workers)
+		} else if !strings.Contains(err.Error(), first) || strings.Contains(err.Error(), later) {
+			t.Fatalf("workers=%d: strict error does not name only the first corrupt segment %s: %v", workers, first, err)
+		}
 	}
 
 	h := &Health{}
@@ -342,9 +350,12 @@ func TestDegradedReadSkipsCorruptSegment(t *testing.T) {
 	if err != nil {
 		t.Fatalf("degraded read failed: %v", err)
 	}
-	sk := h.Skipped()
-	if len(sk) != 1 || sk[0].Segment != victim {
-		t.Fatalf("health skipped %v, want exactly [%s]", sk, victim)
+	var skipped []string
+	for _, e := range h.Skipped() {
+		skipped = append(skipped, e.Segment)
+	}
+	if want := []string{first, later}; !slices.Equal(skipped, want) && !slices.Equal(skipped, []string{later, first}) {
+		t.Fatalf("health skipped %v, want exactly %v", skipped, want)
 	}
 	if h.Clean() {
 		t.Fatal("health must not report clean after a skip")
@@ -355,8 +366,10 @@ func TestDegradedReadSkipsCorruptSegment(t *testing.T) {
 	if len(sessions)+h.LostSessions() != totalSessions {
 		t.Fatalf("delivered %d + lost %d sessions, want %d", len(sessions), h.LostSessions(), totalSessions)
 	}
-	if !strings.Contains(h.String(), victim) {
-		t.Fatalf("health report does not name the segment:\n%s", h)
+	for _, victim := range []string{first, later} {
+		if !strings.Contains(h.String(), victim) {
+			t.Fatalf("health report does not name segment %s:\n%s", victim, h)
+		}
 	}
 }
 

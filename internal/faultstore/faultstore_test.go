@@ -7,8 +7,10 @@ import (
 	"iter"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -678,9 +680,26 @@ func TestStoreIngestOptionValidation(t *testing.T) {
 	}
 }
 
-// TestStoreQueryCancellation pins leak-free wind-down: cancelling the
-// context mid-stream must surface ctx.Err() and leave no goroutine
-// holding budget tokens.
+// cancelOnSegmentRead cancels a query's context as the nth segment read
+// starts, so the cancellation lands while the decode pool is busy.
+type cancelOnSegmentRead struct {
+	iofault.FS
+	reads  atomic.Int64
+	nth    int64
+	cancel context.CancelFunc
+}
+
+func (c *cancelOnSegmentRead) ReadFile(name string) ([]byte, error) {
+	if strings.HasSuffix(name, ".seg") && c.reads.Add(1) == c.nth {
+		c.cancel()
+	}
+	return c.FS.ReadFile(name)
+}
+
+// TestStoreQueryCancellation pins leak-free wind-down: a query cancelled
+// before it starts, while its decode pool is reading segments, or
+// mid-delivery must surface ctx.Err(), hand every budget token back and
+// leave no pool goroutine behind.
 func TestStoreQueryCancellation(t *testing.T) {
 	var faults []extract.Fault
 	for i := 0; i < 50; i++ {
@@ -692,22 +711,72 @@ func TestStoreQueryCancellation(t *testing.T) {
 		WithShards(4), WithWindow(time.Hour)); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(storeDir)
+	baseline := runtime.NumGoroutine()
+	fsys := &cancelOnSegmentRead{FS: iofault.OS, nth: 3}
+	s, err := Open(storeDir, WithStoreFS(fsys))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var last error
-	for _, err := range s.Events(ctx, Query{}) {
-		last = err
-	}
-	if last != context.Canceled {
-		t.Fatalf("cancelled query ended with %v, want context.Canceled", last)
+	if s.Segments() < 8 {
+		t.Fatalf("store has %d segments, want enough to cancel mid-decode", s.Segments())
 	}
 	budget := fdlimit.NewBudget(4)
 	s.SetBudget(budget)
-	if got := budget.InUse(); got != 0 {
-		t.Fatalf("%d descriptors still held after cancellation", got)
+
+	// query drains one cancellable query; cancelAfter > 0 cancels once
+	// that many faults have been delivered.
+	query := func(ctx context.Context, cancel context.CancelFunc, cancelAfter int) error {
+		var last error
+		delivered := 0
+		for ev, err := range s.Events(ctx, Query{Workers: 4}) {
+			last = err
+			if ev.Kind == stream.KindFault {
+				if delivered++; delivered == cancelAfter {
+					cancel()
+				}
+			}
+		}
+		return last
+	}
+	cases := []struct {
+		name        string
+		preCancel   bool
+		cancelOnSeg bool
+		cancelAfter int
+	}{
+		{name: "before start", preCancel: true},
+		{name: "mid-decode", cancelOnSeg: true},
+		{name: "mid-delivery", cancelAfter: 10},
+	}
+	for _, c := range cases {
+		ctx, cancel := context.WithCancel(context.Background())
+		fsys.reads.Store(0)
+		fsys.cancel = func() {}
+		if c.cancelOnSeg {
+			fsys.cancel = cancel
+		}
+		if c.preCancel {
+			cancel()
+		}
+		if err := query(ctx, cancel, c.cancelAfter); err != context.Canceled {
+			t.Fatalf("%s: cancelled query ended with %v, want context.Canceled", c.name, err)
+		}
+		cancel()
+		if got := budget.InUse(); got != 0 {
+			t.Fatalf("%s: %d descriptors still held after cancellation", c.name, got)
+		}
+		if c.cancelOnSeg && fsys.reads.Load() >= int64(s.Segments()) {
+			t.Fatalf("%s: all %d segments read despite the cancel", c.name, s.Segments())
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > baseline {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: goroutines leaked: %d before, %d after", c.name, baseline, runtime.NumGoroutine())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if budget.MaxInUse() == 0 {
+		t.Fatal("the budget was never touched: the test meters nothing")
 	}
 }

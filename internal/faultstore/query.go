@@ -1,14 +1,11 @@
 package faultstore
 
 import (
-	"fmt"
-	"path/filepath"
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"context"
+	"fmt"
 	"iter"
+	"path/filepath"
+	"sync/atomic"
 
 	"unprotected/internal/cluster"
 	"unprotected/internal/eventlog"
@@ -179,11 +176,11 @@ func readSegmentFile(ctx context.Context, fsys iofault.FS, path string, budget *
 // prologue sized to exactly what the query delivers, every matching
 // fault in extract.Compare order, then every matching session in
 // eventlog.CompareSessions order. Matching segments are decoded by a
-// bounded worker pool (descriptors metered by the store's budget) and
-// k-way merged through the shared block delivery layer; segments the
-// index rules out are never opened. Cancelling ctx drains the pool and
-// yields a final (zero Event, ctx.Err()) pair, leak-free, exactly like
-// the other sources.
+// bounded stream.Gather pool (descriptors metered by the store's budget)
+// and k-way merged through the shared block delivery layer; segments the
+// index rules out are never opened. Cancelling ctx winds the pool down
+// and yields a final (zero Event, ctx.Err()) pair, leak-free, exactly
+// like the other sources.
 func (s *Store) Events(ctx context.Context, q Query) iter.Seq2[stream.Event, error] {
 	return func(yield func(stream.Event, error) bool) {
 		faultStreams, sessionStreams, stats, err := s.collect(ctx, q)
@@ -195,111 +192,51 @@ func (s *Store) Events(ctx context.Context, q Query) iter.Seq2[stream.Event, err
 	}
 }
 
-// decoded is one segment's filtered payload, tagged with its manifest
-// position so the merge's stream order is deterministic.
-type decoded struct {
-	pos      int
+// segStreams is one segment's filtered payload.
+type segStreams struct {
 	faults   []extract.Fault
 	sessions []eventlog.Session
-	err      error
 }
 
-// collect prunes, decodes and filters the matching segments, returning
-// the per-segment sorted streams in manifest order plus the exact stats
-// of what survived the predicates.
+// collect prunes, then decodes and filters the matching segments on a
+// stream.Gather pool, returning the per-segment sorted streams in
+// manifest order plus the exact stats of what survived the predicates.
+// A strict read fails with the lowest-positioned failing segment's error.
 func (s *Store) collect(ctx context.Context, q Query) ([][]extract.Fault, [][]eventlog.Session, *stream.Stats, error) {
 	set := q.nodeSet()
-	var matched []int
+	var matched []*segMeta
 	for i := range s.man.segs {
 		if q.matchSeg(&s.man.segs[i], set) {
-			matched = append(matched, i)
+			matched = append(matched, &s.man.segs[i])
 		} else {
 			s.pruned.Add(1)
 		}
 	}
 
-	workers := q.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(workers, len(matched))
-
-	jobs := make(chan int) // index into matched
-	results := make(chan decoded, max(workers, 1))
-	done := ctx.Done()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for pos := range jobs {
-				if ctx.Err() != nil {
-					continue // cancelled: drain the queue without reading
-				}
-				e := &s.man.segs[matched[pos]]
-				d := decoded{pos: pos}
-				p, err := readSegmentFile(ctx, s.fs, filepath.Join(s.dir, e.name), s.budget, s.retry)
-				s.opened.Add(1)
-				switch {
-				case err == nil:
-					d.faults = filterFaults(p.faults, &q, set)
-					d.sessions = filterSessions(p.sessions, &q, set)
-				case q.Degraded && ctx.Err() == nil:
-					// Degraded read: the segment is skipped, not fatal.
-					// Its diagnostics — and the index's account of what
-					// was lost — go to the health report.
-					q.Health.record(SegmentError{
-						Segment:  e.name,
-						Err:      err,
-						Faults:   e.nFaults,
-						Sessions: e.nSessions,
-					})
-				default:
-					d.err = fmt.Errorf("%s: %w", e.name, err)
-				}
-				select {
-				case results <- d:
-				case <-done:
-				}
-			}
-		}()
-	}
-	go func() {
-	feed:
-		for pos := range matched {
-			select {
-			case jobs <- pos:
-			case <-done:
-				break feed
-			}
+	parts, err := stream.Gather(ctx, q.Workers, len(matched), func(i int) (segStreams, error) {
+		e := matched[i]
+		p, err := readSegmentFile(ctx, s.fs, filepath.Join(s.dir, e.name), s.budget, s.retry)
+		s.opened.Add(1)
+		switch {
+		case err == nil:
+			return segStreams{filterFaults(p.faults, &q, set), filterSessions(p.sessions, &q, set)}, nil
+		case q.Degraded && ctx.Err() == nil:
+			// Degraded read: the segment is skipped, not fatal. Its
+			// diagnostics — and the index's account of what was lost — go
+			// to the health report.
+			q.Health.record(SegmentError{
+				Segment:  e.name,
+				Err:      err,
+				Faults:   e.nFaults,
+				Sessions: e.nSessions,
+			})
+			return segStreams{}, nil
+		default:
+			return segStreams{}, fmt.Errorf("%s: %w", e.name, err)
 		}
-		close(jobs)
-		wg.Wait()
-		close(results)
-	}()
-
-	parts := make([]decoded, len(matched))
-	firstErr := -1
-	for d := range results {
-		if ctx.Err() != nil {
-			continue // cancelled: keep draining so the pool exits
-		}
-		if d.err != nil {
-			// Deterministic failure: remember the lowest-positioned
-			// segment's error no matter which worker tripped first.
-			if firstErr == -1 || d.pos < firstErr {
-				firstErr = d.pos
-				parts[d.pos] = d
-			}
-			continue
-		}
-		parts[d.pos] = d
-	}
-	if err := ctx.Err(); err != nil {
+	})
+	if err != nil {
 		return nil, nil, nil, err
-	}
-	if firstErr != -1 {
-		return nil, nil, nil, parts[firstErr].err
 	}
 
 	stats := &stream.Stats{RawLogsByNode: make(map[cluster.NodeID]int64)}

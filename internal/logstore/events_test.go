@@ -25,15 +25,17 @@ func TestEventsMatchesStreamWorkers(t *testing.T) {
 	dir := t.TempDir()
 	synthDir(t, dir, 12, 9, 25)
 
-	wantStats, nodes, err := collect(context.Background(), dir, 1, iofault.OS)
+	wantStats, faultStreams, sessionStreams, err := collect(context.Background(), dir, 1, iofault.OS)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var wantFaults []extract.Fault
 	var wantSessions []eventlog.Session
-	for _, ns := range nodes {
-		wantFaults = append(wantFaults, ns.faults...)
-		wantSessions = append(wantSessions, ns.sessions...)
+	for _, fs := range faultStreams {
+		wantFaults = append(wantFaults, fs...)
+	}
+	for _, ss := range sessionStreams {
+		wantSessions = append(wantSessions, ss...)
 	}
 	sort.SliceStable(wantFaults, func(i, j int) bool {
 		return extract.Compare(&wantFaults[i], &wantFaults[j]) < 0

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"iter"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -27,8 +26,6 @@ type nodeStream struct {
 	// concatenated logs) must credit the true host, matching fault
 	// attribution.
 	rawByNode map[cluster.NodeID]int64
-	order     int // file index: the deterministic merge tiebreak
-	err       error
 }
 
 // Events replays the directory and yields the merged stream as an
@@ -36,18 +33,18 @@ type nodeStream struct {
 // engine's Events: a stats prologue, faults in extract.Compare order,
 // then sessions in eventlog.CompareSessions order.
 //
-// Every node file is read by a bounded worker pool (0 workers means
-// GOMAXPROCS): each worker collapses and classifies one file (so §II-C
+// Every node file is read by a bounded stream.Gather pool (0 workers
+// means GOMAXPROCS): each worker collapses and classifies one file (so §II-C
 // extraction parallelizes across files) and sorts that node's faults and
 // sessions locally, and two deterministic k-way merges (stream.Deliver)
 // interleave the per-node streams into the canonical global orders. The
 // merged dataset is never materialized here. Output is identical for any
 // worker count: per-file work is independent, both comparators are total
-// orders, and the merge consumes streams sorted by file index, so
-// scheduling cannot reorder anything.
+// orders, and the merge consumes streams in file order, so scheduling
+// cannot reorder anything.
 //
 // Cancelling ctx aborts the replay: unread files are skipped, the loader
-// pool drains and exits before the iterator yields its final (zero Event,
+// pool exits before the iterator yields its final (zero Event,
 // ctx.Err()) pair, so an abandoned replay leaks no goroutines. By the
 // first yield the pool has already wound down, so breaking out of the
 // range releases everything immediately. Delivery itself performs no
@@ -60,135 +57,51 @@ func Events(ctx context.Context, dir string, workers int) iter.Seq2[stream.Event
 // seam the chaos tests use to fail or tear the replay's reads.
 func EventsFS(ctx context.Context, dir string, workers int, fsys iofault.FS) iter.Seq2[stream.Event, error] {
 	return func(yield func(stream.Event, error) bool) {
-		stats, streams, err := collect(ctx, dir, workers, fsys)
+		stats, faultStreams, sessionStreams, err := collect(ctx, dir, workers, fsys)
 		if err != nil {
 			yield(stream.Event{}, err)
 			return
 		}
-		stream.Deliver(ctx, yield, stats, faultStreams(streams), sessionStreams(streams))
+		stream.Deliver(ctx, yield, stats, faultStreams, sessionStreams)
 	}
 }
 
-// faultStreams projects the non-empty per-node fault slices in file order.
-func faultStreams(streams []nodeStream) [][]extract.Fault {
-	out := make([][]extract.Fault, 0, len(streams))
-	for _, ns := range streams {
-		if len(ns.faults) > 0 {
-			out = append(out, ns.faults)
-		}
-	}
-	return out
-}
-
-// sessionStreams projects the non-empty per-node session slices in file
-// order.
-func sessionStreams(streams []nodeStream) [][]eventlog.Session {
-	out := make([][]eventlog.Session, 0, len(streams))
-	for _, ns := range streams {
-		if len(ns.sessions) > 0 {
-			out = append(out, ns.sessions)
-		}
-	}
-	return out
-}
-
-// collect runs the loader pool to completion (or cancellation) and
-// gathers the per-file sorted streams, restored to file order, plus the
-// scalar stats — the engine under EventsFS.
-//
-// Cancellation: the feeder stops handing out files, workers skip loading
-// whatever is still queued, and the collector keeps draining until the
-// results channel closes — so by the time ctx.Err() is returned every
-// pool goroutine has exited.
-func collect(ctx context.Context, dir string, workers int, fsys iofault.FS) (*stream.Stats, []nodeStream, error) {
+// collect loads every node file on a stream.Gather pool and folds the
+// per-file sorted streams, in file order, into the scalar stats — the
+// engine under EventsFS. File order is the merge's deterministic
+// equal-key tiebreak even if a directory holds two files for one node;
+// a failing file fails the replay with the lowest-ordered file's error.
+func collect(ctx context.Context, dir string, workers int, fsys iofault.FS) (*stream.Stats, [][]extract.Fault, [][]eventlog.Session, error) {
 	files, err := listNodeFiles(fsys, dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(files) {
-		workers = len(files)
+	streams, err := stream.Gather(ctx, workers, len(files), func(i int) (nodeStream, error) {
+		return loadNodeFile(fsys, files[i])
+	})
+	if err != nil {
+		return nil, nil, nil, err
 	}
 
-	type job struct {
-		path  string
-		order int
-	}
-	jobs := make(chan job)
-	results := make(chan nodeStream, workers)
-	done := ctx.Done()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				if ctx.Err() != nil {
-					continue // cancelled: drain the queue without loading
-				}
-				ns := loadNodeFile(fsys, j.path)
-				ns.order = j.order
-				select {
-				case results <- ns:
-				case <-done:
-				}
-			}
-		}()
-	}
 	stats := &stream.Stats{RawLogsByNode: make(map[cluster.NodeID]int64)}
-	go func() {
-	feed:
-		for i, path := range files {
-			select {
-			case jobs <- job{path: path, order: i}:
-			case <-done:
-				break feed
-			}
-		}
-		close(jobs)
-		wg.Wait()
-		close(results)
-	}()
-
-	var streams []nodeStream
-	var firstErr *nodeStream
-	for ns := range results {
-		if ctx.Err() != nil {
-			continue // cancelled: keep draining so the pool exits
-		}
-		if ns.err != nil {
-			// Keep draining so the pool exits, but remember the failure of
-			// the lowest-indexed file — deterministic no matter which
-			// worker tripped first.
-			if firstErr == nil || ns.order < firstErr.order {
-				cp := ns
-				firstErr = &cp
-			}
-			continue
-		}
+	faultStreams := make([][]extract.Fault, 0, len(streams))
+	sessionStreams := make([][]eventlog.Session, 0, len(streams))
+	for i := range streams {
+		ns := &streams[i]
 		stats.Faults += len(ns.faults)
 		stats.Sessions += len(ns.sessions)
 		stats.RawLogs += ns.rawLogs
 		for id, n := range ns.rawByNode {
 			stats.RawLogsByNode[id] += n
 		}
-		if len(ns.faults) > 0 || len(ns.sessions) > 0 {
-			streams = append(streams, ns)
+		if len(ns.faults) > 0 {
+			faultStreams = append(faultStreams, ns.faults)
+		}
+		if len(ns.sessions) > 0 {
+			sessionStreams = append(sessionStreams, ns.sessions)
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	if firstErr != nil {
-		return nil, nil, firstErr.err
-	}
-	// Streams arrive in worker-completion order; restore file order so the
-	// merge's equal-key tiebreak (stream index) is deterministic even if a
-	// directory holds two files for one node.
-	sort.Slice(streams, func(i, j int) bool { return streams[i].order < streams[j].order })
-	return stats, streams, nil
+	return stats, faultStreams, sessionStreams, nil
 }
 
 // collapserPool recycles per-file collapsers — and with them the
@@ -199,13 +112,12 @@ var collapserPool = sync.Pool{New: func() any { return extract.NewCollapser() }}
 // loadNodeFile runs one file through the §II-C pipeline on the worker:
 // records are collapsed into runs and sessions as they are read, then the
 // node's faults and sessions are classified and sorted locally so the
-// collector only merges.
-func loadNodeFile(fsys iofault.FS, path string) nodeStream {
+// merge phase only merges.
+func loadNodeFile(fsys iofault.FS, path string) (nodeStream, error) {
 	var ns nodeStream
 	f, err := fsys.Open(path)
 	if err != nil {
-		ns.err = fmt.Errorf("logstore: %w", err)
-		return ns
+		return ns, fmt.Errorf("logstore: %w", err)
 	}
 	defer f.Close()
 	collapser := collapserPool.Get().(*extract.Collapser)
@@ -223,8 +135,7 @@ func loadNodeFile(fsys iofault.FS, path string) nodeStream {
 			break
 		}
 		if err != nil {
-			ns.err = fmt.Errorf("logstore: %s: %w", path, err)
-			return ns
+			return ns, fmt.Errorf("logstore: %s: %w", path, err)
 		}
 		acct.Observe(rec)
 		collapser.Observe(rec)
@@ -245,5 +156,5 @@ func loadNodeFile(fsys iofault.FS, path string) nodeStream {
 	sort.Slice(ns.sessions, func(i, j int) bool {
 		return eventlog.CompareSessions(&ns.sessions[i], &ns.sessions[j]) < 0
 	})
-	return ns
+	return ns, nil
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"unprotected/internal/campaign"
@@ -164,18 +165,35 @@ func TestStreamDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestStreamPropagatesWorkerErrors: a corrupt file must fail the whole
-// stream deterministically, whichever worker hits it.
+// TestStreamPropagatesWorkerErrors: corrupt files must fail the whole
+// stream deterministically, whichever worker hits one first — the error
+// is always the lowest-ordered corrupt file's.
 func TestStreamPropagatesWorkerErrors(t *testing.T) {
 	dir := t.TempDir()
 	synthDir(t, dir, 10, 2, 2)
-	bad := filepath.Join(dir, FileName(cluster.NodeID{Blade: 1, SoC: 3}))
-	if err := os.WriteFile(bad, []byte("GARBAGE LINE\n"), 0o644); err != nil {
-		t.Fatal(err)
+	first := filepath.Join(dir, FileName(cluster.NodeID{Blade: 1, SoC: 3}))
+	later := filepath.Join(dir, FileName(cluster.NodeID{Blade: 1, SoC: 8}))
+	if first >= later {
+		t.Fatalf("file order assumption broken: %s sorts after %s", first, later)
 	}
-	for _, workers := range []int{1, 4} {
-		if _, err := replay(dir, workers); err == nil {
-			t.Fatalf("workers=%d: corrupt file accepted", workers)
+	for _, bad := range []string{first, later} {
+		if err := os.WriteFile(bad, []byte("GARBAGE LINE\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var want string
+	for _, workers := range []int{1, 4, 16} {
+		_, err := replay(dir, workers)
+		if err == nil {
+			t.Fatalf("workers=%d: corrupt files accepted", workers)
+		}
+		if !strings.Contains(err.Error(), first) || strings.Contains(err.Error(), later) {
+			t.Fatalf("workers=%d: error does not name only the first corrupt file %s: %v", workers, first, err)
+		}
+		if want == "" {
+			want = err.Error()
+		} else if err.Error() != want {
+			t.Fatalf("workers=%d: error %q differs from workers=1's %q", workers, err, want)
 		}
 	}
 }
