@@ -169,7 +169,7 @@ func TestPublicAnalyze(t *testing.T) {
 	if err := logstore.Export(study.Dataset.Sessions, study.Dataset.Faults, dir); err != nil {
 		t.Fatal(err)
 	}
-	fromLogs, err := unprotected.Analyze(ctx, unprotected.Logs(dir, unprotected.WithController("02-04")))
+	fromLogs, err := unprotected.Analyze(ctx, unprotected.Logs(dir), unprotected.WithController("02-04"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestPublicStudyFromLogs(t *testing.T) {
 	if err := logstore.Export(s.Dataset.Sessions, s.Dataset.Faults, dir); err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := unprotected.Analyze(ctx, unprotected.Logs(dir, unprotected.WithController("02-04")))
+	replayed, err := unprotected.Analyze(ctx, unprotected.Logs(dir), unprotected.WithController("02-04"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,16 +58,18 @@ func main() {
 		os.Exit(2)
 	}
 	var src unprotected.Source
-	opts := []unprotected.Option{unprotected.WithWorkers(*workers)}
+	var opts []unprotected.Option
 	switch {
 	case *fromLogs != "":
-		src = unprotected.Logs(*fromLogs)
+		src = unprotected.Logs(*fromLogs, unprotected.WithWorkers(*workers))
 		opts = append(opts, unprotected.WithController(*controller))
 	case *storeDir != "":
-		src = unprotected.Store(*storeDir)
+		src = unprotected.Store(*storeDir, unprotected.WithWorkers(*workers))
 		opts = append(opts, unprotected.WithController(*controller))
 	default:
-		src = unprotected.Simulate(unprotected.DefaultConfig(*seed))
+		cfg := unprotected.DefaultConfig(*seed)
+		cfg.Workers = *workers
+		src = unprotected.Simulate(cfg)
 	}
 	study, err := unprotected.Analyze(ctx, src, opts...)
 	if err != nil {

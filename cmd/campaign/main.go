@@ -40,16 +40,10 @@ import (
 
 	"unprotected"
 	"unprotected/internal/campaign"
-	"unprotected/internal/dram"
 	"unprotected/internal/eventlog"
 	"unprotected/internal/extract"
 	"unprotected/internal/logstore"
-	"unprotected/internal/thermal"
 )
-
-func vaddrOf(f extract.Fault) uint64 { return dram.VirtAddr(f.Addr) }
-
-func pageOf(f extract.Fault) uint64 { return dram.PhysPage(uint64(f.Node.Index()), f.Addr) }
 
 func main() {
 	seed := flag.Uint64("seed", 42, "campaign RNG seed")
@@ -102,40 +96,12 @@ func fail(err error) {
 	os.Exit(1)
 }
 
-// faultRecord renders a fault in the canonical ERROR line shape. The
-// last=/logs= fields carry the collapsed run's extent and raw volume so a
-// re-import reconstructs the fault exactly instead of re-collapsing it.
-func faultRecord(f extract.Fault) eventlog.Record {
-	return eventlog.Record{
-		Kind: eventlog.KindError, At: f.FirstAt, Host: f.Node,
-		VAddr: vaddrOf(f), Actual: f.Actual, Expected: f.Expected,
-		TempC: f.TempC, PhysPage: pageOf(f),
-		LastAt: f.LastAt, Logs: max(f.Logs, 1),
-	}
-}
-
-// sessionRecords renders a session as its START/END pair (END omitted for
-// hard reboots, which never logged one). Sessions carry no temperature, so
-// the records must say temp=NA — a zero TempC would fabricate a 0°C
-// reading. Every session sink shares this construction so the flat files
-// and the per-node layout cannot drift apart.
-func sessionRecords(s eventlog.Session) []eventlog.Record {
-	recs := []eventlog.Record{{
-		Kind: eventlog.KindStart, At: s.From, Host: s.Host, AllocBytes: s.AllocBytes,
-		TempC: thermal.NoReading,
-	}}
-	if !s.Truncated {
-		recs = append(recs, eventlog.Record{
-			Kind: eventlog.KindEnd, At: s.To, Host: s.Host, TempC: thermal.NoReading,
-		})
-	}
-	return recs
-}
-
-// writeSession emits a session's records to a flat file.
-func writeSession(w *eventlog.Writer, s eventlog.Session) error {
-	for _, rec := range sessionRecords(s) {
-		if err := w.Write(rec); err != nil {
+// writeSession emits a session's START/END records through write, the
+// one session construction every sink shares.
+func writeSession(write func(eventlog.Record) error, s eventlog.Session) error {
+	var buf [2]eventlog.Record
+	for _, rec := range logstore.AppendSessionRecords(buf[:0], s) {
+		if err := write(rec); err != nil {
 			return err
 		}
 	}
@@ -174,7 +140,7 @@ func streamCampaign(ctx context.Context, seed uint64, faultsPath, sessionsPath, 
 			return err
 		}
 		faultSinks = append(faultSinks, func(f extract.Fault) error {
-			return w.Write(faultRecord(f))
+			return w.Write(logstore.FaultRecord(f))
 		})
 	}
 	if sessionsPath != "" {
@@ -183,7 +149,7 @@ func streamCampaign(ctx context.Context, seed uint64, faultsPath, sessionsPath, 
 			return err
 		}
 		sessionSinks = append(sessionSinks, func(s eventlog.Session) error {
-			return writeSession(w, s)
+			return writeSession(w.Write, s)
 		})
 	}
 	if logDir != "" {
@@ -199,15 +165,10 @@ func streamCampaign(ctx context.Context, seed uint64, faultsPath, sessionsPath, 
 		}
 		closers = append(closers, store.Close)
 		faultSinks = append(faultSinks, func(f extract.Fault) error {
-			return store.Append(faultRecord(f))
+			return store.Append(logstore.FaultRecord(f))
 		})
 		sessionSinks = append(sessionSinks, func(s eventlog.Session) error {
-			for _, rec := range sessionRecords(s) {
-				if err := store.Append(rec); err != nil {
-					return err
-				}
-			}
-			return nil
+			return writeSession(store.Append, s)
 		})
 	}
 
@@ -267,7 +228,7 @@ func writeFaults(study *unprotected.Study, path string) error {
 	defer f.Close()
 	w := eventlog.NewWriter(f)
 	for _, fault := range study.Dataset.Faults {
-		if err := w.Write(faultRecord(fault)); err != nil {
+		if err := w.Write(logstore.FaultRecord(fault)); err != nil {
 			return err
 		}
 	}
@@ -282,7 +243,7 @@ func writeSessions(study *unprotected.Study, path string) error {
 	defer f.Close()
 	w := eventlog.NewWriter(f)
 	for _, s := range study.Dataset.Sessions {
-		if err := writeSession(w, s); err != nil {
+		if err := writeSession(w.Write, s); err != nil {
 			return err
 		}
 	}

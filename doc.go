@@ -29,8 +29,14 @@
 //
 // Replaying logged data is the same call with the other source:
 //
-//	study, err := unprotected.Analyze(ctx, unprotected.Logs(dir,
-//		unprotected.WithController("02-04")))
+//	study, err := unprotected.Analyze(ctx, unprotected.Logs(dir),
+//		unprotected.WithController("02-04"))
+//
+// Each option has one home, the call where it acts: Analyze takes
+// WithController, WithObservers and WithoutDataset; Logs takes
+// WithWorkers; Store takes WithWorkers, WithNodes, WithTimeRange and
+// WithDegraded; Simulate takes none (it reads Config.Workers). An option
+// given anywhere else is an error naming its home.
 //
 // Consumers with their own one-pass accumulators — RowHammer-style
 // reliability analyses, exporters, online policies — implement Observer
@@ -149,52 +155,61 @@ func NewAccumulators(excludeFromRegimes ...NodeID) *Accumulators {
 	return analysis.NewAccumulators(excludeFromRegimes...)
 }
 
-// Option configures Analyze and the built-in sources; invalid values are
-// reported as errors before the stream starts.
+// Option configures the one call it belongs to — Analyze, Logs or Store,
+// as each option's comment says. A misplaced option or an invalid value
+// is a descriptive error: from Analyze before the stream starts, or from
+// a source's first Events delivery.
 type Option = core.Option
 
-// WithWorkers bounds the source's worker pool. Zero selects GOMAXPROCS;
-// negative values are rejected.
+// WithWorkers bounds the worker pool of a Logs or Store source; pass it
+// to Logs or Store. Zero selects GOMAXPROCS; negative values are
+// rejected. A simulation reads Config.Workers instead.
 func WithWorkers(n int) Option { return core.WithWorkers(n) }
 
 // WithController names the permanently failing node excluded from
-// MTBF-style analyses (§III-I); the empty string disables the exclusion.
-// Required for log replay (log files do not record the controller);
-// overrides the profile's controller for simulations.
+// MTBF-style analyses (§III-I); pass it to Analyze. The empty string
+// disables the exclusion. Required for log and store replay (log files
+// do not record the controller); overrides the profile's controller for
+// simulations.
 func WithController(node string) Option { return core.WithController(node) }
 
-// WithObservers attaches external accumulators to the single pass.
+// WithObservers attaches external accumulators to the single pass; pass
+// it to Analyze.
 func WithObservers(obs ...Observer) Option { return core.WithObservers(obs...) }
 
 // WithoutDataset makes Analyze a pure-streaming run: dataset slices stay
-// empty while figures and attached observers are still fed.
+// empty while figures and attached observers are still fed. Pass it to
+// Analyze.
 func WithoutDataset() Option { return core.WithoutDataset() }
 
 // Simulate returns the Source that executes the campaign described by
-// cfg on the streaming engine.
+// cfg on the streaming engine. It takes no options; its worker pool is
+// cfg.Workers.
 func Simulate(cfg *Config) Source { return core.Simulate(cfg) }
 
 // Logs returns the Source that replays a directory of per-node log files
 // — the paper's actual workflow — through the parallel streaming loader.
+// It takes WithWorkers; any other option is an error.
 func Logs(dir string, opts ...Option) Source { return core.Logs(dir, opts...) }
 
 // Store returns the Source that reads a sharded, time-partitioned binary
 // fault store built from text logs by cmd/faultstore. It yields the same
 // canonical stream Logs does — text stays the interchange format; the
-// store is the query-efficient form — and it is the one source that
-// understands WithNodes and WithTimeRange, pruning whole segments via
-// the store index before any I/O.
+// store is the query-efficient form. It takes WithWorkers, WithNodes,
+// WithTimeRange and WithDegraded, and is the one source that prunes:
+// WithNodes and WithTimeRange skip whole segments via the store index
+// before any I/O.
 func Store(dir string, opts ...Option) Source { return core.Store(dir, opts...) }
 
 // WithNodes restricts a Store source to the named nodes ("blade-SoC",
-// e.g. "02-04"). Segments whose index node set is disjoint are never
-// opened. Simulate and Logs reject this option.
+// e.g. "02-04"); pass it to Store. Segments whose index node set is
+// disjoint are never opened. Analyze and Logs reject this option.
 func WithNodes(nodes ...string) Option { return core.WithNodes(nodes...) }
 
 // WithTimeRange restricts a Store source to records whose prune key —
 // fault first-observation time, session start time — falls in [from,
-// to). Segments whose index bounds fall outside are never opened.
-// Simulate and Logs reject this option.
+// to); pass it to Store. Segments whose index bounds fall outside are
+// never opened. Analyze and Logs reject this option.
 func WithTimeRange(from, to time.Time) Option { return core.WithTimeRange(from, to) }
 
 // StoreHealth is the queryable report of a degraded store read: the
@@ -207,8 +222,8 @@ type StoreHealth = core.StoreHealth
 // WithDegraded switches a Store source to degraded reads: a segment that
 // cannot be read or fails its checksum is skipped — recorded in h with
 // diagnostics, when h is non-nil — instead of failing the analysis.
-// Strict hard-error remains the default. Simulate and Logs reject this
-// option.
+// Pass it to Store. Strict hard-error remains the default. Analyze and
+// Logs reject this option.
 func WithDegraded(h *StoreHealth) Option { return core.WithDegraded(h) }
 
 // Analyze drains src once and assembles the Study: dataset slices

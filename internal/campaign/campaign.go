@@ -17,6 +17,7 @@ package campaign
 
 import (
 	"context"
+	"fmt"
 	"iter"
 	"sort"
 	"sync"
@@ -56,7 +57,8 @@ type Config struct {
 	// SoC12OffFrom mirrors the topology's SoC-12 power-off instant for
 	// temperature computation (before it, SoC 12 heats its neighbours).
 	SoC12OffFrom timebase.T
-	// Workers bounds parallelism; 0 means GOMAXPROCS.
+	// Workers bounds parallelism; 0 means GOMAXPROCS. A negative value
+	// is an error, reported by Events.
 	Workers int
 	// Gate, when non-nil, is a shared counting semaphore (a buffered
 	// channel) bounding concurrent node simulations across every campaign
@@ -161,6 +163,9 @@ func EventsFiltered(ctx context.Context, cfg *Config, needFaults, needSessions b
 // engine under EventsFiltered. On cancellation no further node starts and
 // ctx.Err() is returned once every worker has exited.
 func collect(ctx context.Context, cfg *Config, needFaults, needSessions bool) (*stream.Stats, [][]extract.Fault, [][]eventlog.Session, error) {
+	if cfg.Workers < 0 {
+		return nil, nil, nil, fmt.Errorf("campaign: Workers must be >= 0, got %d (0 selects GOMAXPROCS)", cfg.Workers)
+	}
 	if cfg.Topo == nil {
 		cfg.Topo = cluster.PaperTopology()
 	}

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -161,4 +162,25 @@ func TestEventsEarlyBreak(t *testing.T) {
 		t.Fatalf("consumed %d events, want 10", seen)
 	}
 	waitForGoroutines(t, baseline)
+}
+
+// TestEventsRejectsNegativeWorkers: a negative Config.Workers is a
+// descriptive error before any node is simulated, not a pool silently
+// clamped to GOMAXPROCS.
+func TestEventsRejectsNegativeWorkers(t *testing.T) {
+	cfg := DefaultConfig(1)
+	cfg.Workers = -3
+	n := 0
+	for ev, err := range Events(context.Background(), cfg) {
+		n++
+		if err == nil {
+			t.Fatalf("Workers -3 delivered %+v, want an error", ev)
+		}
+		if want := "Workers must be >= 0, got -3"; !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not mention %q", err, want)
+		}
+	}
+	if n != 1 {
+		t.Fatalf("iterator yielded %d times, want exactly the error", n)
+	}
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"slices"
+	"strings"
 	"time"
 
 	"unprotected/internal/campaign"
@@ -17,37 +19,31 @@ import (
 	"unprotected/internal/timebase"
 )
 
-// Option configures Analyze and the built-in sources. Options are
-// validated when applied: Analyze (and the first Events call of a source
-// built with invalid options) reports a descriptive error instead of
-// silently clamping.
+// Option configures the one call it belongs to: WithController,
+// WithObservers and WithoutDataset go to Analyze; WithWorkers to Logs or
+// Store; WithNodes, WithTimeRange and WithDegraded to Store. Simulate
+// takes none (it reads Config.Workers). An option given anywhere else,
+// or with an invalid value, is a descriptive error — never silently
+// ignored or clamped.
 type Option func(*options) error
 
-// options is the resolved option set.
+// options is the resolved option set of one call.
 type options struct {
-	workers       int
+	at string // the call being configured: "Analyze", "Logs" or "Store"
+
+	// Analyze.
 	controller    cluster.NodeID
 	hasController bool
 	observers     []stream.Observer
 	noDataset     bool
-	// Store-source predicates (WithNodes / WithTimeRange); the other
-	// sources reject them.
-	nodes    []cluster.NodeID
-	hasRange bool
-	from, to timebase.T
-	// Store-source read mode (WithDegraded); the other sources reject it.
-	degraded bool
-	health   *faultstore.Health
+	// Logs and Store.
+	workers int
+	// Store: the predicates and read mode of its query.
+	query faultstore.Query
 }
 
-// hasPredicates reports whether a store-only predicate option was set.
-func (o *options) hasPredicates() bool { return len(o.nodes) > 0 || o.hasRange }
-
-// hasStoreOnly reports whether any option only the Store source
-// understands was set.
-func (o *options) hasStoreOnly() bool { return o.hasPredicates() || o.degraded }
-
-func (o *options) apply(opts []Option) error {
+func (o *options) apply(at string, opts []Option) error {
+	o.at = at
 	for _, opt := range opts {
 		if opt == nil {
 			return errors.New("nil Option")
@@ -59,10 +55,23 @@ func (o *options) apply(opts []Option) error {
 	return nil
 }
 
-// WithWorkers bounds the source's worker pool. Zero selects GOMAXPROCS;
-// negative values are rejected (they used to be silently clamped).
+// accept reports an error naming the option's homes unless the call
+// being configured is one of them.
+func (o *options) accept(name string, homes ...string) error {
+	if slices.Contains(homes, o.at) {
+		return nil
+	}
+	return fmt.Errorf("%s goes to %s, not %s", name, strings.Join(homes, " or "), o.at)
+}
+
+// WithWorkers bounds the worker pool of a Logs or Store source. Zero
+// selects GOMAXPROCS; negative values are rejected. A simulation reads
+// Config.Workers instead.
 func WithWorkers(n int) Option {
 	return func(o *options) error {
+		if err := o.accept("WithWorkers", "Logs", "Store"); err != nil {
+			return fmt.Errorf("%w (a simulation reads Config.Workers)", err)
+		}
 		if n < 0 {
 			return fmt.Errorf("workers must be >= 0, got %d (0 selects GOMAXPROCS)", n)
 		}
@@ -71,13 +80,16 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithController names the permanently failing node excluded from
-// MTBF-style analyses (§III-I). The empty string disables the exclusion.
-// For a simulation source this overrides the profile's controller node;
-// for a log-replay source it is the only way to identify it — log files
-// do not record which node was the controller.
+// WithController names, to Analyze, the permanently failing node
+// excluded from MTBF-style analyses (§III-I). The empty string disables
+// the exclusion. For a simulation source this overrides the profile's
+// controller node; for a log or store source it is the only way to
+// identify it — log files do not record which node was the controller.
 func WithController(node string) Option {
 	return func(o *options) error {
+		if err := o.accept("WithController", "Analyze"); err != nil {
+			return err
+		}
 		o.hasController = true
 		if node == "" {
 			o.controller = cluster.NodeID{}
@@ -92,12 +104,15 @@ func WithController(node string) Option {
 	}
 }
 
-// WithObservers attaches external one-pass accumulators to the stream:
+// WithObservers attaches, to Analyze, external one-pass accumulators:
 // each observer sees every fault and session in canonical order, in the
 // same single pass that feeds the internal figure accumulators, and its
 // Finish runs once the stream ends. A Finish error fails Analyze.
 func WithObservers(obs ...stream.Observer) Option {
 	return func(o *options) error {
+		if err := o.accept("WithObservers", "Analyze"); err != nil {
+			return err
+		}
 		for _, ob := range obs {
 			if ob == nil {
 				return errors.New("nil Observer")
@@ -115,6 +130,9 @@ func WithObservers(obs ...stream.Observer) Option {
 // recompute from the slices will see an empty dataset.
 func WithoutDataset() Option {
 	return func(o *options) error {
+		if err := o.accept("WithoutDataset", "Analyze"); err != nil {
+			return err
+		}
 		o.noDataset = true
 		return nil
 	}
@@ -122,12 +140,13 @@ func WithoutDataset() Option {
 
 // WithNodes restricts a Store source to the named nodes: only their
 // faults and sessions are delivered, and segments whose index node set
-// is disjoint are never opened. Only the fault-store source understands
-// it — Simulate and Logs reject it with a descriptive error — and, like
-// WithTimeRange, giving it both to Store and to Analyze is a conflict
-// error, never a silent union.
+// is disjoint are never opened. It goes to Store; anywhere else it is an
+// error.
 func WithNodes(nodes ...string) Option {
 	return func(o *options) error {
+		if err := o.accept("WithNodes", "Store"); err != nil {
+			return err
+		}
 		if len(nodes) == 0 {
 			return errors.New("WithNodes: no nodes given")
 		}
@@ -136,7 +155,7 @@ func WithNodes(nodes ...string) Option {
 			if err != nil {
 				return fmt.Errorf("WithNodes: %w", err)
 			}
-			o.nodes = append(o.nodes, id)
+			o.query.Nodes = append(o.query.Nodes, id)
 		}
 		return nil
 	}
@@ -145,15 +164,19 @@ func WithNodes(nodes ...string) Option {
 // WithTimeRange restricts a Store source to records whose prune key —
 // fault first-observation time, session start time — falls in the
 // half-open interval [from, to). Segments whose index bounds fall
-// outside are never opened. Only the fault-store source understands it.
+// outside are never opened. It goes to Store; anywhere else it is an
+// error.
 func WithTimeRange(from, to time.Time) Option {
 	return func(o *options) error {
+		if err := o.accept("WithTimeRange", "Store"); err != nil {
+			return err
+		}
 		if !from.Before(to) {
 			return fmt.Errorf("WithTimeRange: from %v is not before to %v", from, to)
 		}
-		o.hasRange = true
-		o.from = timebase.FromTime(from)
-		o.to = timebase.FromTime(to)
+		o.query.HasRange = true
+		o.query.From = timebase.FromTime(from)
+		o.query.To = timebase.FromTime(to)
 		return nil
 	}
 }
@@ -168,33 +191,17 @@ type StoreHealth = faultstore.Health
 // cannot be read or fails its CRC is skipped — with its diagnostics and
 // index-declared record counts recorded in h, when non-nil — instead of
 // failing the whole analysis. Strict hard-error remains the default: a
-// reliability study must opt in to half-trusting its own storage. Only
-// the fault-store source understands it; Simulate and Logs reject it.
+// reliability study must opt in to half-trusting its own storage. It
+// goes to Store; anywhere else it is an error.
 func WithDegraded(h *faultstore.Health) Option {
 	return func(o *options) error {
-		o.degraded = true
-		o.health = h
+		if err := o.accept("WithDegraded", "Store"); err != nil {
+			return err
+		}
+		o.query.Degraded = true
+		o.query.Health = h
 		return nil
 	}
-}
-
-// configurableSource lets Analyze exchange options with the built-in
-// sources: Analyze-level settings the source acts on (worker-pool size)
-// flow down, source-baked settings only Analyze can act on (observers,
-// WithoutDataset) flow up. configure returns the source to stream from —
-// a derived copy when something changed, so neither the caller's Config
-// nor a reusable Source is mutated by one Analyze call's options.
-type configurableSource interface {
-	configure(o *options) (stream.Source, error)
-}
-
-// studySource describes the study metadata a built-in source knows.
-// topology is only required to be final after Events has been drained
-// (the campaign engine defaults it during the run).
-type studySource interface {
-	controller() cluster.NodeID
-	pathological() cluster.NodeID
-	topology() *cluster.Topology
 }
 
 // simSource adapts the campaign engine to the Source interface.
@@ -203,8 +210,8 @@ type simSource struct {
 }
 
 // Simulate returns the Source that executes the campaign described by
-// cfg. Pass it to Analyze, or range over Events directly for a custom
-// consumer.
+// cfg. It takes no options: the worker pool is Config.Workers. Pass it
+// to Analyze, or range over Events directly for a custom consumer.
 func Simulate(cfg *campaign.Config) stream.Source { return &simSource{cfg: cfg} }
 
 func (s *simSource) Events(ctx context.Context) iter.Seq2[stream.Event, error] {
@@ -216,64 +223,21 @@ func (s *simSource) Events(ctx context.Context) iter.Seq2[stream.Event, error] {
 	return campaign.Events(ctx, s.cfg)
 }
 
-func (s *simSource) configure(o *options) (stream.Source, error) {
-	if s.cfg == nil {
-		return nil, errors.New("Simulate: nil Config (use DefaultConfig)")
-	}
-	if o.hasStoreOnly() {
-		return nil, errors.New("Simulate: WithNodes/WithTimeRange/WithDegraded apply only to a Store source")
-	}
-	if o.workers > 0 && o.workers != s.cfg.Workers {
-		// Shallow-copy the Config so the override (and the engine's own
-		// defaulting) stays local to this Analyze call.
-		cfg := *s.cfg
-		cfg.Workers = o.workers
-		return &simSource{cfg: &cfg}, nil
-	}
-	return s, nil
-}
-
-func (s *simSource) controller() cluster.NodeID {
-	if s.cfg != nil && s.cfg.Profile != nil {
-		return s.cfg.Profile.ControllerNode
-	}
-	return cluster.NodeID{}
-}
-
-func (s *simSource) pathological() cluster.NodeID {
-	if s.cfg != nil && s.cfg.Profile != nil {
-		return s.cfg.Profile.PathologicalNode
-	}
-	return cluster.NodeID{}
-}
-
-func (s *simSource) topology() *cluster.Topology {
-	if s.cfg == nil {
-		return nil
-	}
-	return s.cfg.Topo
-}
-
 // logSource adapts the log-replay loader to the Source interface.
 type logSource struct {
-	dir  string
-	opts options
-	err  error // first constructor-option error, surfaced on use
+	dir     string
+	workers int
+	err     error // first constructor-option error, surfaced on use
 }
 
 // Logs returns the Source that replays a directory of per-node log files
-// — the paper's actual workflow. Options accepted here carry the same
-// meaning as on Analyze, which may override them (WithObservers and
-// WithoutDataset only take effect through Analyze — a raw Events range
-// has no sink to feed); an invalid option surfaces as the error of the
-// first Events delivery (and from Analyze before the stream starts).
+// — the paper's actual workflow. It takes WithWorkers only; any other
+// option, or an invalid value, surfaces as the error of the first Events
+// delivery (and so from Analyze).
 func Logs(dir string, opts ...Option) stream.Source {
-	s := &logSource{dir: dir}
-	s.err = s.opts.apply(opts)
-	if s.err == nil && s.opts.hasStoreOnly() {
-		s.err = errors.New("WithNodes/WithTimeRange/WithDegraded apply only to a Store source (replay the full directory or ingest it into a store first)")
-	}
-	return s
+	var o options
+	err := o.apply("Logs", opts)
+	return &logSource{dir: dir, workers: o.workers, err: err}
 }
 
 func (s *logSource) Events(ctx context.Context) iter.Seq2[stream.Event, error] {
@@ -282,38 +246,8 @@ func (s *logSource) Events(ctx context.Context) iter.Seq2[stream.Event, error] {
 			yield(stream.Event{}, fmt.Errorf("unprotected: Logs: %w", s.err))
 		}
 	}
-	return logstore.Events(ctx, s.dir, s.opts.workers)
+	return logstore.Events(ctx, s.dir, s.workers)
 }
-
-func (s *logSource) configure(o *options) (stream.Source, error) {
-	if s.err != nil {
-		return nil, fmt.Errorf("Logs: %w", s.err)
-	}
-	if o.hasStoreOnly() {
-		return nil, errors.New("Logs: WithNodes/WithTimeRange/WithDegraded apply only to a Store source (replay the full directory or ingest it into a store first)")
-	}
-	// Analyze-level options that the source cannot act on by itself flow
-	// the other way: observers and WithoutDataset baked into the Logs call
-	// join Analyze's own set, so both spellings are equivalent.
-	o.observers = append(o.observers, s.opts.observers...)
-	if s.opts.noDataset {
-		o.noDataset = true
-	}
-	if o.workers > 0 && o.workers != s.opts.workers {
-		cp := *s
-		cp.opts.workers = o.workers
-		return &cp, nil
-	}
-	return s, nil
-}
-
-func (s *logSource) controller() cluster.NodeID   { return s.opts.controller }
-func (s *logSource) pathological() cluster.NodeID { return cluster.NodeID{} }
-
-// topology returns the prototype's layout: a replayed directory carries
-// no topology of its own, and the paper's is the only one the per-node
-// analyses know how to map.
-func (s *logSource) topology() *cluster.Topology { return cluster.PaperTopology() }
 
 // Analyze drains src once and assembles the Study: the dataset slices
 // (unless WithoutDataset), the incremental figure accumulators, and every
@@ -322,29 +256,26 @@ func (s *logSource) topology() *cluster.Topology { return cluster.PaperTopology(
 // dataset sources — and any external Source implementation — share.
 //
 // Cancelling ctx aborts the run: the source winds its producers down
-// leak-free and Analyze returns ctx.Err(). Invalid options (negative
-// workers, an unparseable controller node, a nil observer) are reported
-// before the stream starts.
+// leak-free and Analyze returns ctx.Err(). Invalid options (an
+// unparseable controller node, a nil observer, a source option such as
+// WithWorkers or WithNodes, which goes to the source's constructor) are
+// reported before the stream starts.
 func Analyze(ctx context.Context, src stream.Source, opts ...Option) (*Study, error) {
 	if src == nil {
 		return nil, errors.New("unprotected: Analyze: nil Source")
 	}
 	var o options
-	if err := o.apply(opts); err != nil {
+	if err := o.apply("Analyze", opts); err != nil {
 		return nil, fmt.Errorf("unprotected: Analyze: %w", err)
 	}
-	if cs, ok := src.(configurableSource); ok {
-		configured, err := cs.configure(&o)
-		if err != nil {
-			return nil, fmt.Errorf("unprotected: Analyze: %w", err)
-		}
-		src = configured
-	}
 
+	// Only a simulation knows its study metadata; a replayed directory or
+	// store records neither controller nor topology, and the paper's is
+	// the only topology the per-node analyses know how to map.
 	var controller, pathological cluster.NodeID
-	meta, hasMeta := src.(studySource)
-	if hasMeta {
-		controller, pathological = meta.controller(), meta.pathological()
+	sim, _ := src.(*simSource)
+	if sim != nil && sim.cfg != nil && sim.cfg.Profile != nil {
+		controller, pathological = sim.cfg.Profile.ControllerNode, sim.cfg.Profile.PathologicalNode
 	}
 	if o.hasController {
 		controller = o.controller
@@ -385,14 +316,14 @@ func Analyze(ctx context.Context, src stream.Source, opts ...Option) (*Study, er
 		}
 	}
 
+	// The campaign engine defaults a simulation's topology during the
+	// run, so it is read only once the stream has been drained.
 	topo := cluster.PaperTopology()
-	if hasMeta {
-		if t := meta.topology(); t != nil {
-			topo = t
-		}
+	if sim != nil && sim.cfg.Topo != nil {
+		topo = sim.cfg.Topo
 	}
 	study := sink.study(topo, st.RawLogs, st.RawLogsByNode)
-	if sim, ok := src.(*simSource); ok {
+	if sim != nil {
 		study.Config = sim.cfg
 	}
 	return study, nil

@@ -21,8 +21,7 @@ import (
 
 // TestAnalyzeLogsMatchesStudyFromLogs: Analyze over a log source must
 // render the report the naive collect-and-sort oracle builds from the
-// same directory, for explicit and default worker counts and whether the
-// options are given to Analyze or to the source itself.
+// same directory, for explicit and default worker counts.
 func TestAnalyzeLogsMatchesStudyFromLogs(t *testing.T) {
 	sessions, faults, controller := replayFixture()
 	dir := t.TempDir()
@@ -39,9 +38,9 @@ func TestAnalyzeLogsMatchesStudyFromLogs(t *testing.T) {
 		src  stream.Source
 		opts []Option
 	}{
-		{Logs(dir), []Option{WithController(controller), WithWorkers(3)}},
+		{Logs(dir, WithWorkers(3)), []Option{WithController(controller)}},
 		{Logs(dir), []Option{WithController(controller)}},
-		{Logs(dir, WithController(controller), WithWorkers(2)), nil},
+		{Logs(dir, WithWorkers(2)), []Option{WithController(controller)}},
 	} {
 		study, err := Analyze(context.Background(), tc.src, tc.opts...)
 		if err != nil {
@@ -123,11 +122,11 @@ func TestAnalyzeValidatesOptions(t *testing.T) {
 		}
 	}
 
-	s, err := Analyze(ctx, Logs(dir), WithWorkers(-3))
+	s, err := Analyze(ctx, Logs(dir, WithWorkers(-3)))
+	check("workers", s, err)
+	s, err = Analyze(ctx, Store(dir, WithWorkers(-3)))
 	check("workers", s, err)
 	s, err = Analyze(ctx, Logs(dir), WithController("not-a-node"))
-	check("controller", s, err)
-	s, err = Analyze(ctx, Logs(dir, WithController("bogus!")))
 	check("controller", s, err)
 	s, err = Analyze(ctx, Simulate(nil))
 	check("Config", s, err)
@@ -173,13 +172,13 @@ func TestAnalyzeObserversAndWithoutDataset(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	full, err := Analyze(ctx, Logs(dir, WithController(controller)))
+	full, err := Analyze(ctx, Logs(dir), WithController(controller))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	obs := &countingObserver{}
-	lean, err := Analyze(ctx, Logs(dir, WithController(controller)),
+	lean, err := Analyze(ctx, Logs(dir), WithController(controller),
 		WithObservers(obs), WithoutDataset())
 	if err != nil {
 		t.Fatal(err)
@@ -209,24 +208,8 @@ func TestAnalyzeObserversAndWithoutDataset(t *testing.T) {
 		t.Fatal("WithoutDataset lost the raw-log accounting")
 	}
 
-	// Observers and WithoutDataset baked into the Logs call itself are
-	// equivalent to passing them to Analyze.
-	baked := &countingObserver{}
-	bakedStudy, err := Analyze(ctx,
-		Logs(dir, WithController(controller), WithObservers(baked), WithoutDataset()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !baked.finished || len(baked.faults) != len(full.Dataset.Faults) {
-		t.Fatalf("source-baked observer saw %d faults (finished=%v), want %d",
-			len(baked.faults), baked.finished, len(full.Dataset.Faults))
-	}
-	if len(bakedStudy.Dataset.Faults) != 0 {
-		t.Fatal("source-baked WithoutDataset still materialized the dataset")
-	}
-
 	failing := &countingObserver{fail: errors.New("boom")}
-	if _, err := Analyze(ctx, Logs(dir, WithController(controller)), WithObservers(failing)); err == nil ||
+	if _, err := Analyze(ctx, Logs(dir), WithController(controller), WithObservers(failing)); err == nil ||
 		!strings.Contains(err.Error(), "boom") {
 		t.Fatalf("observer Finish error not surfaced: %v", err)
 	}

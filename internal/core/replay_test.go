@@ -72,7 +72,7 @@ func TestStudyFromLogsDeterministicAcrossWorkers(t *testing.T) {
 	}
 	var ref []byte
 	for _, workers := range []int{1, 1, 2, 4, 16} {
-		study, err := Analyze(context.Background(), Logs(dir, WithController(controller), WithWorkers(workers)))
+		study, err := Analyze(context.Background(), Logs(dir, WithWorkers(workers)), WithController(controller))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func TestStudyFromLogsMatchesCampaignStudy(t *testing.T) {
 	if err := logstore.Export(mem.Dataset.Sessions, mem.Dataset.Faults, dir); err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := Analyze(context.Background(), Logs(dir, WithController(cfg.Profile.ControllerNode.String())))
+	replayed, err := Analyze(context.Background(), Logs(dir), WithController(cfg.Profile.ControllerNode.String()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,9 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
-	"unprotected/internal/campaign"
 	"unprotected/internal/faultstore"
 	"unprotected/internal/logstore"
 	"unprotected/internal/timebase"
@@ -37,11 +35,11 @@ func ingestFixtureStore(t *testing.T) (logDir, storeDir string) {
 func TestStoreMatchesLogsReportFixture(t *testing.T) {
 	ctx := context.Background()
 	logDir, storeDir := ingestFixtureStore(t)
-	fromLogs, err := Analyze(ctx, Logs(logDir, WithController("02-04")))
+	fromLogs, err := Analyze(ctx, Logs(logDir), WithController("02-04"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromStore, err := Analyze(ctx, Store(storeDir, WithController("02-04")))
+	fromStore, err := Analyze(ctx, Store(storeDir), WithController("02-04"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +68,11 @@ func TestStoreMatchesLogsReportCampaign(t *testing.T) {
 	if _, err := faultstore.Ingest(ctx, logDir, storeDir); err != nil {
 		t.Fatal(err)
 	}
-	fromLogs, err := Analyze(ctx, Logs(logDir, WithController("02-04")))
+	fromLogs, err := Analyze(ctx, Logs(logDir), WithController("02-04"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromStore, err := Analyze(ctx, Store(storeDir, WithController("02-04")))
+	fromStore, err := Analyze(ctx, Store(storeDir), WithController("02-04"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,13 +84,13 @@ func TestStoreMatchesLogsReportCampaign(t *testing.T) {
 	}
 }
 
-// TestStorePredicates drives WithNodes/WithTimeRange through Analyze:
-// the store source honors them, the other sources reject them.
+// TestStorePredicates: the store source honors WithNodes/WithTimeRange
+// and reports invalid values.
 func TestStorePredicates(t *testing.T) {
 	ctx := context.Background()
 	_, storeDir := ingestFixtureStore(t)
 
-	study, err := Analyze(ctx, Store(storeDir, WithController("02-04")), WithNodes("01-02"))
+	study, err := Analyze(ctx, Store(storeDir, WithNodes("01-02")), WithController("02-04"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,53 +124,30 @@ func TestStorePredicates(t *testing.T) {
 		}
 	}
 
-	// The other sources reject predicates descriptively.
-	if _, err := Analyze(ctx, Simulate(campaign.DefaultConfig(1)), WithNodes("01-02")); err == nil ||
-		!strings.Contains(err.Error(), "Store source") {
-		t.Fatalf("Simulate accepted WithNodes: %v", err)
+	// Invalid predicate values are reported before the store is opened.
+	if _, err := Analyze(ctx, Store(storeDir, WithNodes())); err == nil ||
+		!strings.Contains(err.Error(), "no nodes") {
+		t.Fatalf("empty WithNodes error %v", err)
 	}
-	logDir := t.TempDir()
-	if _, err := Analyze(ctx, Logs(logDir), WithNodes("01-02")); err == nil ||
-		!strings.Contains(err.Error(), "Store source") {
-		t.Fatalf("Logs accepted WithNodes: %v", err)
-	}
-	if _, err := Analyze(ctx, Logs(logDir, WithNodes("01-02"))); err == nil ||
-		!strings.Contains(err.Error(), "Store source") {
-		t.Fatalf("Logs constructor accepted WithNodes: %v", err)
-	}
-
-	// Invalid predicate values are reported before the stream starts.
-	if _, err := Analyze(ctx, Store(storeDir), WithNodes()); err == nil {
-		t.Fatal("empty WithNodes accepted")
-	}
-	if _, err := Analyze(ctx, Store(storeDir), WithNodes("not-a-node")); err == nil {
-		t.Fatal("unparseable node accepted")
+	if _, err := Analyze(ctx, Store(storeDir, WithNodes("not-a-node"))); err == nil ||
+		!strings.Contains(err.Error(), "WithNodes") {
+		t.Fatalf("unparseable node error %v", err)
 	}
 	now := timebase.T(0).Time()
-	if _, err := Analyze(ctx, Store(storeDir), WithTimeRange(now, now)); err == nil {
-		t.Fatal("empty time range accepted")
-	}
-	if _, err := Analyze(ctx, Store(storeDir, WithTimeRange(now, now.Add(time.Hour))),
-		WithTimeRange(now, now.Add(time.Hour))); err == nil {
-		t.Fatal("double WithTimeRange accepted")
-	}
-	// Two node restrictions are a conflict, never a silent union: the old
-	// append widened Store(WithNodes("01-02")) to deliver both nodes.
-	if _, err := Analyze(ctx, Store(storeDir, WithNodes("01-02")), WithNodes("02-02")); err == nil ||
-		!strings.Contains(err.Error(), "WithNodes") {
-		t.Fatalf("double WithNodes error %v, want a conflict", err)
+	if _, err := Analyze(ctx, Store(storeDir, WithTimeRange(now, now))); err == nil ||
+		!strings.Contains(err.Error(), "not before") {
+		t.Fatalf("empty time range error %v", err)
 	}
 }
 
-// TestStoreDegraded drives WithDegraded through Analyze: a corrupt
-// segment fails the default strict analysis, is skipped (and accounted
-// in the health report) under WithDegraded, and the option is rejected
-// by the other sources and by double application.
+// TestStoreDegraded: a corrupt segment fails the default strict
+// analysis and is skipped (and accounted in the health report) under
+// WithDegraded.
 func TestStoreDegraded(t *testing.T) {
 	ctx := context.Background()
 	_, storeDir := ingestFixtureStore(t)
 
-	full, err := Analyze(ctx, Store(storeDir, WithController("02-04")))
+	full, err := Analyze(ctx, Store(storeDir), WithController("02-04"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,12 +161,12 @@ func TestStoreDegraded(t *testing.T) {
 	}
 	corruptOneSegment(t, storeDir)
 
-	if _, err := Analyze(ctx, Store(storeDir, WithController("02-04"))); err == nil {
+	if _, err := Analyze(ctx, Store(storeDir), WithController("02-04")); err == nil {
 		t.Fatal("strict analysis of a corrupt store must fail")
 	}
 
 	h := &StoreHealth{}
-	degraded, err := Analyze(ctx, Store(storeDir, WithController("02-04")), WithDegraded(h))
+	degraded, err := Analyze(ctx, Store(storeDir, WithDegraded(h)), WithController("02-04"))
 	if err != nil {
 		t.Fatalf("degraded analysis failed: %v", err)
 	}
@@ -200,20 +175,6 @@ func TestStoreDegraded(t *testing.T) {
 	}
 	if got := len(degraded.Dataset.Faults) + h.LostFaults(); got != len(full.Dataset.Faults) {
 		t.Fatalf("delivered+lost = %d faults, want %d", got, len(full.Dataset.Faults))
-	}
-
-	// The option is store-only and single-application, like the predicates.
-	if _, err := Analyze(ctx, Simulate(campaign.DefaultConfig(1)), WithDegraded(nil)); err == nil ||
-		!strings.Contains(err.Error(), "Store source") {
-		t.Fatalf("Simulate accepted WithDegraded: %v", err)
-	}
-	if _, err := Analyze(ctx, Logs(t.TempDir(), WithDegraded(nil))); err == nil ||
-		!strings.Contains(err.Error(), "Store source") {
-		t.Fatalf("Logs accepted WithDegraded: %v", err)
-	}
-	if _, err := Analyze(ctx, Store(storeDir, WithDegraded(h)), WithDegraded(h)); err == nil ||
-		!strings.Contains(err.Error(), "WithDegraded") {
-		t.Fatalf("double WithDegraded error %v, want a conflict", err)
 	}
 }
 
@@ -242,23 +203,28 @@ func corruptOneSegment(t *testing.T, storeDir string) {
 	t.Fatal("no segment file found")
 }
 
-// TestStoreSourceReuse pins that Analyze options never mutate a
-// reusable Store source: a predicate applied in one call must not
-// narrow the next.
+// TestStoreSourceReuse: a predicated Store source is a reusable value —
+// analyzing it twice yields identical studies — and it narrows only
+// itself: Store on the same directory still delivers the full set.
 func TestStoreSourceReuse(t *testing.T) {
 	ctx := context.Background()
 	_, storeDir := ingestFixtureStore(t)
-	src := Store(storeDir)
-	filtered, err := Analyze(ctx, src, WithNodes("01-02"))
+	src := Store(storeDir, WithNodes("01-02"))
+	first, err := Analyze(ctx, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Analyze(ctx, src)
+	second, err := Analyze(ctx, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(full.Dataset.Faults) <= len(filtered.Dataset.Faults) {
-		t.Fatalf("source retained a prior call's predicate: %d <= %d faults",
-			len(full.Dataset.Faults), len(filtered.Dataset.Faults))
+	assertSameStudy(t, first, second)
+	full, err := Analyze(ctx, Store(storeDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full.Dataset.Faults) <= len(first.Dataset.Faults) {
+		t.Fatalf("unfiltered store delivered %d faults, the node-filtered one %d",
+			len(full.Dataset.Faults), len(first.Dataset.Faults))
 	}
 }

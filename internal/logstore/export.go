@@ -9,7 +9,6 @@ import (
 	"unprotected/internal/extract"
 	"unprotected/internal/iofault"
 	"unprotected/internal/thermal"
-	"unprotected/internal/timebase"
 )
 
 // Export writes a dataset in the prototype's on-disk layout: one log file
@@ -29,40 +28,54 @@ func ExportFS(sessions []eventlog.Session, faults []extract.Fault, dir string, f
 	if err != nil {
 		return err
 	}
-	type ev struct {
-		at  timebase.T
-		rec eventlog.Record
-	}
-	perNode := make(map[cluster.NodeID][]ev)
+	perNode := make(map[cluster.NodeID][]eventlog.Record)
 	for _, s := range sessions {
-		perNode[s.Host] = append(perNode[s.Host], ev{s.From, eventlog.Record{
-			Kind: eventlog.KindStart, At: s.From, Host: s.Host, AllocBytes: s.AllocBytes,
-			TempC: thermal.NoReading,
-		}})
-		if !s.Truncated {
-			perNode[s.Host] = append(perNode[s.Host], ev{s.To, eventlog.Record{
-				Kind: eventlog.KindEnd, At: s.To, Host: s.Host, TempC: thermal.NoReading,
-			}})
-		}
+		perNode[s.Host] = AppendSessionRecords(perNode[s.Host], s)
 	}
 	for _, f := range faults {
-		perNode[f.Node] = append(perNode[f.Node], ev{f.FirstAt, eventlog.Record{
-			Kind: eventlog.KindError, At: f.FirstAt, Host: f.Node,
-			VAddr:  dram.VirtAddr(f.Addr),
-			Actual: f.Actual, Expected: f.Expected,
-			TempC:    f.TempC,
-			PhysPage: dram.PhysPage(uint64(f.Node.Index()), f.Addr),
-			LastAt:   f.LastAt, Logs: max(f.Logs, 1),
-		}})
+		perNode[f.Node] = append(perNode[f.Node], FaultRecord(f))
 	}
-	for _, evs := range perNode {
-		sort.SliceStable(evs, func(i, j int) bool { return evs[i].at < evs[j].at })
-		for _, e := range evs {
-			if err := store.Append(e.rec); err != nil {
+	for _, recs := range perNode {
+		sort.SliceStable(recs, func(i, j int) bool { return recs[i].At < recs[j].At })
+		for _, rec := range recs {
+			if err := store.Append(rec); err != nil {
 				store.Close()
 				return err
 			}
 		}
 	}
 	return store.Close()
+}
+
+// FaultRecord renders an extracted fault as its canonical ERROR record.
+// The last=/logs= fields carry the collapsed run's extent and raw volume,
+// so a re-import reconstructs the fault exactly instead of re-collapsing
+// it. Every fault sink shares this construction so the interchange files
+// cannot drift apart.
+func FaultRecord(f extract.Fault) eventlog.Record {
+	return eventlog.Record{
+		Kind: eventlog.KindError, At: f.FirstAt, Host: f.Node,
+		VAddr:  dram.VirtAddr(f.Addr),
+		Actual: f.Actual, Expected: f.Expected,
+		TempC:    f.TempC,
+		PhysPage: dram.PhysPage(uint64(f.Node.Index()), f.Addr),
+		LastAt:   f.LastAt, Logs: max(f.Logs, 1),
+	}
+}
+
+// AppendSessionRecords appends a session's START record and, unless the
+// session was truncated by a hard reboot that never logged one, its END
+// record. Sessions carry no temperature, so both records say temp=NA — a
+// zero TempC would fabricate a 0°C reading.
+func AppendSessionRecords(dst []eventlog.Record, s eventlog.Session) []eventlog.Record {
+	dst = append(dst, eventlog.Record{
+		Kind: eventlog.KindStart, At: s.From, Host: s.Host, AllocBytes: s.AllocBytes,
+		TempC: thermal.NoReading,
+	})
+	if !s.Truncated {
+		dst = append(dst, eventlog.Record{
+			Kind: eventlog.KindEnd, At: s.To, Host: s.Host, TempC: thermal.NoReading,
+		})
+	}
+	return dst
 }
